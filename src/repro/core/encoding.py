@@ -59,13 +59,13 @@ def splitmix64(x: np.ndarray) -> np.ndarray:
 def hash_columns(cols: list[np.ndarray]) -> np.ndarray:
     """64-bit hash of the equality-column values (paper §4.1).
 
-    Combines one splitmix64 round per column; with zero equality columns
-    (pure range index) returns an all-zeros hash column so the physical
-    layout is uniform.
+    Combines one splitmix64 round per column. With zero equality columns
+    (pure range index) the length is unknown and an empty array comes
+    back; callers then hash every entry to 0 so the physical layout is
+    uniform.
     """
     if not cols:
-        n = 0 if not cols else len(cols[0])
-        return np.zeros(n, dtype=np.uint64)
+        return np.zeros(0, dtype=np.uint64)
     h = np.zeros(len(cols[0]), dtype=np.uint64)
     for c in cols:
         h = splitmix64(h ^ splitmix64(to_ordered_u64(np.asarray(c))))

@@ -228,17 +228,20 @@ class UmziIndex:
         return QuerySnapshot(covered_gbid=covered, runs=visible_groomed + pg)
 
     def source_for(self, run: IndexRun):
-        """Entry source for a run: memory fast path when the run's blocks
-        are (simulated-)memory-resident or no hierarchy is attached, else
-        block-by-block through the cache (§7)."""
+        """Entry source for one query of a run. Both kinds serve the same
+        search kernel and charge each data block the query touches once:
+        the run's own columns when its blocks are (simulated-)memory-
+        resident or no hierarchy is attached, each touched block charged
+        as one modelled SSD read; else the blocks themselves, read through
+        the cache with real tier charges (§7)."""
         if self.cache is None:
-            return MemorySource(run.cols)
+            return MemorySource(run)
         try:
             st = self.cache.state(run.run_id)
         except KeyError:
-            return MemorySource(run.cols)
+            return MemorySource(run)
         if st.local == "mem":
-            return MemorySource(run.cols)
+            return MemorySource(run)
         return BlockSource(self.cache, run)
 
     # ------------------------------------------------------- cache management

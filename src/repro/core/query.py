@@ -8,8 +8,9 @@ the sort columns) and **point lookups** (entire key bound). Both take a
 Reconciliation across runs is implemented both ways the paper describes
 (§7.1.2): the **set approach** (search newest→oldest, remember returned
 keys) and the **priority-queue approach** (k-way merge of per-run sorted
-results). Batched point lookups sort the probe keys and visit runs
-newest→oldest with per-probe early exit (§7.2); run-level synopsis
+results). Batched point lookups visit runs newest→oldest, searching
+each for all pending probes at once, with per-probe early exit (§7.2);
+a point lookup is a batch of one. Run-level synopsis
 pruning uses the batch's key envelope, which is what makes sequential
 batches much cheaper than random ones (Fig. 10 vs 11).
 """
@@ -21,27 +22,7 @@ import numpy as np
 
 from repro.core import encoding as enc
 from repro.core.index import UmziIndex
-from repro.core.run import IndexRun, MemorySource
-from repro.storage.tiers import SSD_LATENCY, _CAPTURE
-
-
-def _charge_virtual_blocks(spec, n_blocks: int) -> None:
-    """Charge SSD-cache block reads for memory-resident (fast-path) runs.
-
-    §8.3 runs every microbenchmark with all runs cached on the local SSD;
-    the cost model there is *index data blocks touched*: "once an index
-    block is fetched into memory for the lookup of a particular key, no
-    additional I/O is required to fetch that block again for looking up
-    other keys in the batch" (§8.3.2). The fast path searches numpy
-    columns directly, so it reports the blocks it *would* have fetched to
-    the ambient ``capture_io`` scope; runs that are actually block-backed
-    charge real tier reads instead (BlockSource).
-    """
-    cap = _CAPTURE.get()
-    if cap is not None and n_blocks > 0:
-        block_bytes = spec.block_rows * 8 * len(spec.fields)
-        cap.seconds += n_blocks * SSD_LATENCY.cost(block_bytes)
-        cap.reads["ssd"] += n_blocks
+from repro.core.run import IndexRun, lower_bound
 
 
 def _result_names(index: UmziIndex) -> list[str]:
@@ -106,8 +87,6 @@ def _scan_set(index, candidates, eq_values, sort_lo, sort_hi, query_ts):
         src = index.source_for(h.run)
         res = h.run.search(eq_values, sort_lo, sort_hi, query_ts, source=src)
         n = len(res["begin_ts"])
-        if isinstance(src, MemorySource):
-            _charge_virtual_blocks(h.run.spec, 1 + n // h.run.spec.block_rows)
         if n == 0:
             continue
         mask = np.zeros(n, dtype=bool)
@@ -128,10 +107,6 @@ def _scan_pq(index, candidates, eq_values, sort_lo, sort_hi, query_ts):
     for rank, h in enumerate(candidates):
         src = index.source_for(h.run)
         res = h.run.search(eq_values, sort_lo, sort_hi, query_ts, source=src)
-        if isinstance(src, MemorySource):
-            _charge_virtual_blocks(
-                h.run.spec, 1 + len(res["begin_ts"]) // h.run.spec.block_rows
-            )
         if len(res["begin_ts"]):
             streams.append((rank, res))
     heap: list[tuple] = []
@@ -162,20 +137,16 @@ def point_lookup(
     sort_values: tuple[int, ...] | None,
     query_ts: int,
 ) -> dict[str, int] | None:
-    """§7.2 — newest→oldest with early exit on the first match."""
-    snap = index.query_snapshot()
-    for h in snap.runs:
-        if not h.run.synopsis_admits(eq_values, sort_values, sort_values):
-            continue
-        src = index.source_for(h.run)
-        res = h.run.lookup(eq_values, sort_values, query_ts, source=src)
-        if isinstance(src, MemorySource):
-            _charge_virtual_blocks(h.run.spec, 1)
-        if len(res["begin_ts"]):
-            # Early exit (§7.2): runs are visited newest→oldest, so the
-            # first visible match is the most recent version of the key.
-            return {c: int(v[0]) for c, v in res.items()}
-    return None
+    """§7.2 — the most recent visible version of one key: a batch of one."""
+    res = batch_lookup(
+        index,
+        [np.asarray([v]) for v in eq_values or ()],
+        [np.asarray([v]) for v in sort_values or ()],
+        query_ts,
+    )
+    if not len(res["begin_ts"]):
+        return None
+    return {c: int(v[0]) for c, v in res.items()}
 
 
 # --------------------------------------------------------------- batch lookup
@@ -188,169 +159,64 @@ def batch_lookup(
 ) -> dict[str, np.ndarray]:
     """§7.2 — batched point lookups.
 
-    Probe keys are sorted by (hash, equality cols, sort cols); runs are
-    visited newest→oldest, each searched **sequentially and only once**,
-    until every key is found or the runs are exhausted. Returns one row
-    per found probe (probe order not preserved; join on the key).
+    Runs are visited newest→oldest, each searched **only once** for all
+    probes still pending, until every probe is found or the runs are
+    exhausted. Returns one row per distinct found key — duplicate probes
+    of a key give one row — in no particular order (join on the key).
 
     ``runs`` overrides the candidate run list (newest-first); the
     post-groomer uses this to consult only the post-groomed portion of
     the index when collecting to-be-replaced RIDs (§2.1/§5.4).
     """
     spec = index.spec
-    nprobe = len(eq_probes[0]) if eq_probes else len(sort_probes[0])
-    h = enc.hash_columns([np.asarray(p) for p in eq_probes])
-    keycols = [h] + [
-        enc.to_ordered_u64(np.asarray(p, np.int64)) for p in eq_probes
-    ] + [enc.to_ordered_u64(np.asarray(p, np.int64)) for p in sort_probes]
-    order = np.lexsort(list(reversed(keycols)))
-    keycols = [k[order] for k in keycols]
-    raw_eq = [np.asarray(p, np.int64)[order] for p in eq_probes]
-    raw_sort = [np.asarray(p, np.int64)[order] for p in sort_probes]
+    eq = [np.asarray(p, np.int64) for p in eq_probes]
+    sort = [np.asarray(p, np.int64) for p in sort_probes]
+    if len(eq) != len(spec.eq_cols) or len(sort) != len(spec.sort_cols):
+        raise ValueError("a lookup binds every key column (§7.2)")
+    nprobe = len((eq + sort)[0])
+    h = enc.hash_columns(eq) if eq else np.zeros(nprobe, np.uint64)
+    # Probes over the run order (hash, key cols…, inverted ts): the entry
+    # at a probe's lower bound is the key's newest version visible at
+    # query_ts exactly when its key equals the probe's.
+    tq = enc.invert_ts(enc.to_ordered_u64(np.full(nprobe, query_ts, np.int64)))
+    probes = [h] + [enc.to_ordered_u64(c) for c in eq + sort] + [tq]
 
     found = np.zeros(nprobe, dtype=bool)
     parts: list[dict[str, np.ndarray]] = []
     candidates = index.query_snapshot().runs if runs is None else tuple(runs)
     for hd in candidates:
-        if found.all():
+        pending = np.flatnonzero(~found)
+        if not len(pending):
             break
-        pending = ~found
-        if eq_probes:
-            eq_min = tuple(int(c[pending].min()) for c in raw_eq)
-            eq_max = tuple(int(c[pending].max()) for c in raw_eq)
+        if eq:
+            eq_min = tuple(int(c[pending].min()) for c in eq)
+            eq_max = tuple(int(c[pending].max()) for c in eq)
             if not hd.run.synopsis_admits_batch(eq_min, eq_max):
                 continue
-        res, hit = _batch_in_run(
-            index, hd.run, keycols, raw_eq, raw_sort, pending, query_ts
-        )
+        res, hit = _batch_in_run(index, hd.run, [p[pending] for p in probes])
         if res is not None:
             parts.append(res)
-        found |= hit
+        found[pending[hit]] = True
     return _concat(index, parts)
 
 
-def _batch_in_run(index, run: IndexRun, keycols, raw_eq, raw_sort, pending, query_ts):
-    """Search one run for every pending probe (one sequential pass)."""
+def _batch_in_run(index, run: IndexRun, probes):
+    """Search one run for all ``probes`` at once (§7.1.1): returns the
+    decoded newest visible entry of each distinct found key (or None) and
+    a mask of the probes found."""
     spec = run.spec
     src = index.source_for(run)
-    n = src.n_entries
-    if n == 0:
-        return None, np.zeros(len(pending), dtype=bool)
-    hit = np.zeros(len(pending), dtype=bool)
-    sel_rows: list[int] = []
-    if isinstance(src, MemorySource):
-        hcol = src.cols["h"]
-        idx = np.flatnonzero(pending)
-        ph = keycols[0][idx]
-        ha = np.searchsorted(hcol, ph, side="left")
-        hb = np.searchsorted(hcol, ph, side="right")
-        # Virtual I/O: every probe touches the block(s) spanning its
-        # hash range (misses touch the block at the insertion point);
-        # blocks are fetched once per (run, batch) — §8.3.2 amortization.
-        br = spec.block_rows
-        lo_blk = np.minimum(ha, n - 1) // br
-        hi_blk = np.minimum(np.maximum(hb, ha + 1) - 1, n - 1) // br
-        touched: set[int] = set()
-        for a_, b_ in zip(lo_blk, hi_blk):
-            touched.update(range(int(a_), int(b_) + 1))
-        _charge_virtual_blocks(spec, len(touched))
-        mask = ha < hb
-        cand, ca, cb = idx[mask], ha[mask], hb[mask]
-        for j, a, b in zip(cand, np.asarray(ca), np.asarray(cb)):
-            row = _probe_row_mem(src, spec, keycols, int(j), int(a), int(b), query_ts)
-            if row >= 0:
-                sel_rows.append(row)
-                hit[j] = True
-        if not sel_rows:
-            return None, hit
-        rows = np.asarray(sorted(sel_rows))
-        sub = {f: src.cols[f][rows] for f in spec.fields}
-        return run._decode(sub), hit
-    # Block-backed path: offset-array bucket → block slice (real tier
-    # read, cached per query) → vectorized narrowing, as §7.1.1/§7.2.
-    # Probes are sorted, so consecutive probes hit the same blocks and
-    # the per-source block cache gives the paper's batch amortization.
-    if not spec.eq_cols:
-        # Pure range index: fall back to per-probe binary search.
-        out_parts = []
-        for j in np.flatnonzero(pending):
-            sort_v = tuple(int(c[j]) for c in raw_sort)
-            res = run.lookup(None, sort_v, query_ts, source=src)
-            if len(res["begin_ts"]):
-                out_parts.append(res)
-                hit[j] = True
-        return (_concat(index, out_parts) if out_parts else None), hit
-    oa = run.offset_array
-    bits = spec.hash_bits
-    fields = [f"k{i}" for i in range(len(spec.eq_cols))] + [
-        f"s{i}" for i in range(len(spec.sort_cols))
-    ]
-    tq = np.uint64(
-        int(enc.invert_ts(enc.to_ordered_u64(np.asarray([query_ts], np.int64)))[0])
-    )
-    rows: list[int] = []
-    for j in np.flatnonzero(pending):
-        hv = int(keycols[0][j])
-        top = hv >> (64 - bits)
-        a = int(oa[top])
-        b = int(oa[top + 1]) if top + 1 < len(oa) else n
-        if a >= b:
-            continue
-        hs = src.slice("h", a, b)
-        lo = a + int(np.searchsorted(hs, np.uint64(hv), side="left"))
-        hi = a + int(np.searchsorted(hs, np.uint64(hv), side="right"))
-        found = lo < hi
-        for fi, f in enumerate(fields):
-            if not found:
-                break
-            col = src.slice(f, lo, hi)
-            v = np.uint64(int(keycols[1 + fi][j]))
-            nlo = lo + int(np.searchsorted(col, v, side="left"))
-            nhi = lo + int(np.searchsorted(col, v, side="right"))
-            lo, hi = nlo, nhi
-            found = lo < hi
-        if not found:
-            continue
-        ts = src.slice("t", lo, hi)
-        pos = int(np.searchsorted(ts, tq, side="left"))
-        if pos < hi - lo:
-            rows.append(lo + pos)
-            hit[j] = True
-    if not rows:
+    lo, hi = run.bucket(probes[0])
+    pos = lower_bound(src, spec.order_fields, probes, lo, hi)
+    inside = np.flatnonzero(pos < hi)
+    keys = spec.order_fields[1:-1]
+    ent = src.take(keys, pos[inside])
+    match = np.ones(len(inside), dtype=bool)
+    for i, f in enumerate(keys, start=1):
+        match &= ent[f] == probes[i][inside]
+    hit = np.zeros(len(pos), dtype=bool)
+    hit[inside[match]] = True
+    rows = np.unique(pos[hit])
+    if not len(rows):
         return None, hit
-    rows_arr = sorted(set(rows))
-    sub = {
-        f: np.asarray([src.value_at(f, r) for r in rows_arr], dtype=np.uint64)
-        for f in spec.fields
-    }
-    return run._decode(sub), hit
-
-
-def _probe_row_mem(src, spec, keycols, j, a, b, query_ts) -> int:
-    """Binary-search the hash-equal range [a, b) for the probe's exact
-    key; return the row of its most recent version visible at
-    ``query_ts``, or -1. The hash range can be large when an equality
-    column has few distinct values, so each key column narrows by
-    searchsorted — the same successive narrowing §7.1.1 describes."""
-    cols = src.cols
-    probe = [int(k[j]) for k in keycols]
-    fields = (
-        [f"k{i}" for i in range(len(spec.eq_cols))]
-        + [f"s{i}" for i in range(len(spec.sort_cols))]
-    )
-    lo, hi = a, b
-    for fi, f in enumerate(fields):
-        col = cols[f]
-        v = np.uint64(probe[1 + fi])
-        nlo = lo + int(np.searchsorted(col[lo:hi], v, side="left"))
-        nhi = lo + int(np.searchsorted(col[lo:hi], v, side="right"))
-        lo, hi = nlo, nhi
-        if lo >= hi:
-            return -1
-    # [lo, hi) = this key's versions; inverted-ts ascends, so the first
-    # entry with t >= inv(query_ts) is the latest visible version.
-    tq = np.uint64(
-        int(enc.invert_ts(enc.to_ordered_u64(np.asarray([query_ts], np.int64)))[0])
-    )
-    pos = int(np.searchsorted(cols["t"][lo:hi], tq, side="left"))
-    return lo + pos if pos < hi - lo else -1
+    return run._decode(src.take(spec.fields, rows)), hit

@@ -14,11 +14,13 @@ exactly the paper's order — hash, equality columns, sort columns, and
 *descending* beginTS (the timestamp is stored complemented).
 
 Single-run search narrows the candidate range with the offset array
-(most-significant ``hash_bits`` of the probe hash), then binary-searches
-the concatenated bound, iterates to the upper bound, filters
+(most-significant ``hash_bits`` of the probe hash), then searches the
+concatenated bound, iterates to the upper bound, filters
 ``beginTS <= queryTS``, and keeps the first (= most recent) entry per key
 — the worked example of Fig. 2 in the paper is test-encoded in
-``tests/test_run_search.py``.
+``tests/test_run_search.py``. One vectorized kernel, :func:`lower_bound`,
+does every such search, for all probes of a batch at once, through an
+:class:`EntrySource` whether the run is memory-resident or block-backed.
 """
 from __future__ import annotations
 
@@ -78,6 +80,11 @@ class IndexSpec:
             + tuple(f"i{i}" for i in range(len(self.include_cols)))
         )
 
+    @property
+    def order_fields(self) -> tuple[str, ...]:
+        """The fields a run is sorted by: hash, key columns, inverted ts."""
+        return self.fields[: len(self.key_cols) + 2]
+
     def to_json(self) -> dict:
         return {
             "eq_cols": list(self.eq_cols),
@@ -99,66 +106,119 @@ class IndexSpec:
 
 
 class EntrySource:
-    """Random access to one run's (encoded) entries.
+    """Random access to one run's (encoded) entries, for one query.
 
-    Queries read through a source so that the same search code serves
-    memory-resident runs and SSD/shared-storage block-backed runs; the
-    block-backed source fetches whole data blocks on demand (paper §7:
-    "the entire run data block is transferred at a time").
+    All searches read through :meth:`take`, so one kernel serves
+    memory-resident runs and SSD/shared-storage block-backed runs. A data
+    block is loaded on its first touch only: each block costs one read per
+    (run, query), the batch amortization of §8.3.2 ("once an index block
+    is fetched into memory for the lookup of a particular key, no
+    additional I/O is required to fetch that block again").
     """
 
-    n_entries: int
+    def __init__(self, spec: IndexSpec, n_entries: int):
+        self.spec = spec
+        self.n_entries = n_entries
+        self._touched = np.zeros(max(1, -(-n_entries // spec.block_rows)), dtype=bool)
 
-    def value_at(self, fld: str, i: int) -> int:
+    def take(self, fields, positions: np.ndarray) -> dict[str, np.ndarray]:
+        """``fields`` of the entries at ``positions`` (int64 array)."""
+        blocks = positions // self.spec.block_rows
+        fresh = blocks[~self._touched[blocks]]
+        if len(fresh):
+            fresh = np.unique(fresh)
+            self._touched[fresh] = True
+            self._load(fresh)
+        return self._gather(fields, positions, blocks)
+
+    def _load(self, blocks: np.ndarray) -> None:
+        """Make ``blocks`` (touched for the first time) readable."""
         raise NotImplementedError
 
-    def slice(self, fld: str, a: int, b: int) -> np.ndarray:
+    def _gather(self, fields, positions: np.ndarray, blocks: np.ndarray) -> dict[str, np.ndarray]:
+        """``take`` once every block in ``blocks`` (of ``positions``) is loaded."""
         raise NotImplementedError
 
 
 class MemorySource(EntrySource):
-    """Entries fully resident as numpy columns."""
+    """Entries fully resident as numpy columns; a block's first touch
+    charges one modelled SSD read to the ambient ``capture_io`` scope."""
 
-    def __init__(self, cols: dict[str, np.ndarray]):
-        self.cols = cols
-        self.n_entries = 0 if not cols else len(next(iter(cols.values())))
+    def __init__(self, run: "IndexRun"):
+        super().__init__(run.spec, run.n_entries)
+        self.cols = run.cols
 
-    def value_at(self, fld: str, i: int) -> int:
-        return int(self.cols[fld][i])
+    def _load(self, blocks: np.ndarray) -> None:
+        # Imported here: repro.storage imports this module.
+        from repro.storage.tiers import charge_cached_blocks
 
-    def slice(self, fld: str, a: int, b: int) -> np.ndarray:
-        return self.cols[fld][a:b]
+        spec = self.spec
+        charge_cached_blocks(len(blocks), spec.block_rows * 8 * len(spec.fields))
+
+    def _gather(self, fields, positions, blocks):
+        return {f: self.cols[f][positions] for f in fields}
 
 
-def _bsearch(src: EntrySource, fld: str, a: int, b: int, value: int, side: str) -> int:
-    """Binary search for ``value`` in ``src[fld][a:b]`` (sorted ascending).
+# Pivots one round of the search kernel reads within a block, shared by
+# the unresolved probes. Each numpy call costs about a microsecond whatever
+# its size, so a single search splits its range up to 128 ways and ends
+# in two rounds, while a large batch bisects and keeps its arrays small.
+PIVOTS = 256
+_U64_MAX = (1 << 64) - 1
 
-    Returns the leftmost ('left') or rightmost+1 ('right') position, like
-    ``np.searchsorted`` but through the block-fetching source.
+
+def _ordered(v: int) -> int:
+    """Order-preserving uint64 encoding of one int64 key value."""
+    return int(enc.to_ordered_u64(np.asarray([v], np.int64))[0])
+
+
+def lower_bound(
+    src: EntrySource,
+    fields,
+    probes: list[np.ndarray],
+    lo: np.ndarray,
+    hi: np.ndarray,
+    right=False,
+) -> np.ndarray:
+    """Per probe, the first position in ``[lo, hi)`` whose entry is not
+    below the probe, or ``hi`` if there is none (§7.1.1's binary search).
+
+    Entries and probes compare lexicographically over ``fields``;
+    ``probes`` holds one uint64 array per field. Where ``right`` (a bool,
+    or one per probe) is set, an entry equal to the probe also counts as
+    below, as with ``np.searchsorted(side="right")``. All probes advance
+    together, each round reading the pivots of every unresolved probe in
+    one ``src.take``.
     """
-    v = int(value)
-    lo, hi = a, b
-    while lo < hi:
-        mid = (lo + hi) // 2
-        x = src.value_at(fld, mid)
-        if x < v or (side == "right" and x == v):
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-def _narrow_eq(src: EntrySource, fld: str, a: int, b: int, value: int) -> tuple[int, int]:
-    """Narrow [a,b) to the rows where ``fld == value``."""
-    if isinstance(src, MemorySource):
-        col = src.cols[fld]
-        na = a + int(np.searchsorted(col[a:b], np.uint64(value), side="left"))
-        nb = a + int(np.searchsorted(col[a:b], np.uint64(value), side="right"))
-        return na, nb
-    return (
-        _bsearch(src, fld, a, b, value, "left"),
-        _bsearch(src, fld, a, b, value, "right"),
-    )
+    out = np.array(lo, dtype=np.int64)
+    span = np.asarray(hi, dtype=np.int64) - out
+    idx = np.flatnonzero(span > 0)
+    a, span = out[idx], span[idx]
+    key = np.array(probes)[:, idx, None]
+    right = np.full(out.shape, right)[idx, None]
+    while len(idx):
+        # Ranges wider than a block are bisected, so a search reads about
+        # log2(blocks) blocks. Pivot j sits at a + (j * span) // fan.
+        wide = span.max() > src.spec.block_rows
+        fan = 2 if wide else max(2, PIVOTS // len(idx))
+        piv = a[:, None] + (span[:, None] * np.arange(1, fan)) // fan
+        ent = src.take(fields, piv.ravel())
+        val = np.array([ent[f] for f in fields]).reshape((len(fields),) + piv.shape)
+        less, same = val < key, val == key
+        below = right
+        for f in range(len(fields) - 1, -1, -1):
+            below = less[f] | (same[f] & below)
+        # Entries are sorted, so ``below`` is a prefix of each probe's
+        # pivots: the bound lies after pivot c - 1 and at or before pivot c.
+        c = below.sum(axis=1)
+        cut = (c * span) // fan + (c > 0)
+        a, span = a + cut, ((c + 1) * span) // fan - cut
+        done = span <= 0
+        if done.any():
+            out[idx[done]] = a[done]
+            keep = ~done
+            idx, a, span, key, right = idx[keep], a[keep], span[keep], key[:, keep], right[keep]
+    return out
 
 
 class IndexRun:
@@ -238,14 +298,8 @@ class IndexRun:
         for i, c in enumerate(spec.include_cols):
             cols[f"i{i}"] = enc.to_ordered_u64(np.asarray(includes[c], np.int64))
 
-        order_fields = (
-            ["h"]
-            + [f"k{i}" for i in range(len(spec.eq_cols))]
-            + [f"s{i}" for i in range(len(spec.sort_cols))]
-            + ["t"]
-        )
         # np.lexsort sorts by the *last* key first → reverse priority order.
-        perm = np.lexsort([cols[f] for f in reversed(order_fields)])
+        perm = np.lexsort([cols[f] for f in reversed(spec.order_fields)])
         cols = {f: np.ascontiguousarray(cols[f][perm]) for f in spec.fields}
 
         offset_array = cls._offsets(cols["h"], spec.hash_bits)
@@ -304,19 +358,13 @@ class IndexRun:
         cols = {
             f: np.concatenate([r.cols[f] for r in runs]) for f in spec.fields
         }
-        order_fields = (
-            ["h"]
-            + [f"k{i}" for i in range(len(spec.eq_cols))]
-            + [f"s{i}" for i in range(len(spec.sort_cols))]
-            + ["t"]
-        )
-        perm = np.lexsort([cols[f] for f in reversed(order_fields)])
+        perm = np.lexsort([cols[f] for f in reversed(spec.order_fields)])
         cols = {f: np.ascontiguousarray(cols[f][perm]) for f in spec.fields}
         n = len(perm)
         if n:
             dup = np.ones(n, dtype=bool)
             same = np.ones(n - 1, dtype=bool)
-            for f in order_fields + ["z", "b", "o"]:
+            for f in spec.order_fields + ("z", "b", "o"):
                 same &= cols[f][1:] == cols[f][:-1]
             dup[1:] = ~same
             if not dup.all():
@@ -382,6 +430,14 @@ class IndexRun:
         return True
 
     # ----------------------------------------------------------------- search
+    def bucket(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Offset-array range ``[lo, hi)`` holding every entry whose hash
+        shares the top ``hash_bits`` of each of ``h`` (§4.2). A pure
+        range index hashes every entry to 0: the range is the whole run."""
+        top = (h >> np.uint64(64 - self.spec.hash_bits)).astype(np.int64)
+        oa = self.offset_array
+        return oa[top], np.append(oa[1:], self.n_entries)[top]
+
     def search(
         self,
         eq_values: tuple[int, ...] | None,
@@ -398,52 +454,28 @@ class IndexRun:
         ``beginTS > query_ts`` are invisible.
         """
         spec = self.spec
-        src = source or MemorySource(self.cols)
-        n = src.n_entries
-        if n == 0:
-            return self._empty_result()
-        a, b = 0, n
+        if spec.eq_cols and (eq_values is None or len(eq_values) != len(spec.eq_cols)):
+            raise ValueError("all equality columns must be specified (§7)")
+        src = source or MemorySource(self)
 
-        if spec.eq_cols:
-            if eq_values is None or len(eq_values) != len(spec.eq_cols):
-                raise ValueError("all equality columns must be specified (§7)")
-            hval = enc.hash_scalar(tuple(int(v) for v in eq_values))
-            # Offset array: initial range from the top hash_bits of the probe.
-            top = hval >> (64 - spec.hash_bits)
-            a = int(self.offset_array[top])
-            b = (
-                int(self.offset_array[top + 1])
-                if top + 1 < len(self.offset_array)
-                else n
-            )
-            a, b = _narrow_eq(src, "h", a, b, hval)
-            for i, v in enumerate(eq_values):
-                ev = int(enc.to_ordered_u64(np.asarray([v], np.int64))[0])
-                a, b = _narrow_eq(src, f"k{i}", a, b, ev)
-                if a >= b:
-                    return self._empty_result()
-        if a >= b:
-            return self._empty_result()
-
+        # Lower and upper bound of (hash, eq cols…, first sort col) in one
+        # kernel call; an unbounded side takes the extreme uint64 value.
+        eq = tuple(int(v) for v in eq_values or ())
+        key = [enc.hash_scalar(eq)] + [_ordered(v) for v in eq]
+        lo_key, hi_key = list(key), list(key)
         if spec.sort_cols:
-            if sort_lo is not None:
-                lov = int(enc.to_ordered_u64(np.asarray([sort_lo[0]], np.int64))[0])
-                a = (
-                    a + int(np.searchsorted(src.cols["s0"][a:b], np.uint64(lov), "left"))
-                    if isinstance(src, MemorySource)
-                    else _bsearch(src, "s0", a, b, lov, "left")
-                )
-            if sort_hi is not None:
-                hiv = int(enc.to_ordered_u64(np.asarray([sort_hi[0]], np.int64))[0])
-                b = (
-                    a + int(np.searchsorted(src.cols["s0"][a:b], np.uint64(hiv), "right"))
-                    if isinstance(src, MemorySource)
-                    else _bsearch(src, "s0", a, b, hiv, "right")
-                )
+            lo_key.append(0 if sort_lo is None else _ordered(sort_lo[0]))
+            hi_key.append(_U64_MAX if sort_hi is None else _ordered(sort_hi[0]))
+        probes = [np.asarray(p, dtype=np.uint64) for p in zip(lo_key, hi_key)]
+        lo, hi = self.bucket(probes[0])
+        a, b = lower_bound(
+            src, spec.fields[: len(lo_key)], probes, lo, hi,
+            right=np.asarray([False, True]),
+        ).tolist()
         if a >= b:
             return self._empty_result()
 
-        sub = {f: src.slice(f, a, b) for f in spec.fields}
+        sub = src.take(spec.fields, np.arange(a, b))
 
         # Remaining sort columns (beyond s0) get an exact tuple filter.
         if len(spec.sort_cols) > 1 and (sort_lo is not None or sort_hi is not None):

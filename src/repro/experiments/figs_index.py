@@ -30,7 +30,7 @@ def _timeit(fn, repeats: int = 3) -> float:
 
     The virtual component models the paper's setup where every run is
     cached on the local SSD and queries pay one read per index data block
-    touched (amortized within a batch) — see query._charge_virtual_blocks.
+    touched (amortized within a batch) — see ``run.MemorySource``.
     """
     best = float("inf")
     for _ in range(repeats):

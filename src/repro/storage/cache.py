@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.run import EntrySource, IndexRun, IndexSpec
+from repro.core.run import EntrySource, IndexRun
 from repro.storage.tiers import StorageHierarchy
 
 
@@ -172,43 +172,33 @@ class CacheManager:
 class BlockSource(EntrySource):
     """Query-side entry source reading data blocks through the cache.
 
-    Decoded blocks are held only for the lifetime of this source (one
-    query), matching §7: "after the query is finished, the cached data
-    blocks are released".
+    Each touched block is read once through :meth:`CacheManager.read_block`
+    and decoded. Decoded blocks are held only for the lifetime of this
+    source (one query), matching §7: "after the query is finished, the
+    cached data blocks are released".
     """
 
     def __init__(self, cache: CacheManager, run: IndexRun):
+        super().__init__(run.spec, run.n_entries)
         self.cache = cache
-        self.run = run
-        self.spec: IndexSpec = run.spec
-        self.n_entries = run.n_entries
+        self.run_id = run.run_id
         self._decoded: dict[int, dict[str, np.ndarray]] = {}
 
-    def _block(self, bi: int) -> dict[str, np.ndarray]:
-        blk = self._decoded.get(bi)
-        if blk is None:
-            rows = min(
-                self.spec.block_rows,
-                self.n_entries - bi * self.spec.block_rows,
-            )
-            blk = IndexRun.decode_block(
-                self.spec, self.cache.read_block(self.run.run_id, bi), rows
-            )
-            self._decoded[bi] = blk
-        return blk
-
-    def value_at(self, fld: str, i: int) -> int:
+    def _load(self, blocks: np.ndarray) -> None:
         br = self.spec.block_rows
-        return int(self._block(i // br)[fld][i % br])
+        for bi in blocks.tolist():
+            rows = min(br, self.n_entries - bi * br)
+            self._decoded[bi] = IndexRun.decode_block(
+                self.spec, self.cache.read_block(self.run_id, bi), rows
+            )
 
-    def slice(self, fld: str, a: int, b: int) -> np.ndarray:
-        if a >= b:
-            return np.empty(0, np.uint64)
-        br = self.spec.block_rows
-        parts = []
-        for bi in range(a // br, (b - 1) // br + 1):
-            blk = self._block(bi)[fld]
-            lo = max(a - bi * br, 0)
-            hi = min(b - bi * br, len(blk))
-            parts.append(blk[lo:hi])
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    def _gather(self, fields, positions, blocks):
+        # Each decoded block is its own array: gather block by block.
+        out = {f: np.empty(len(positions), np.uint64) for f in fields}
+        order = np.argsort(blocks)
+        ids, starts = np.unique(blocks[order], return_index=True)
+        for bi, sel in zip(ids.tolist(), np.split(order, starts[1:])):
+            blk, offs = self._decoded[bi], positions[sel] - bi * self.spec.block_rows
+            for f in fields:
+                out[f][sel] = blk[f][offs]
+        return out

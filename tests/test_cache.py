@@ -138,19 +138,22 @@ def test_read_shared_run_roundtrip(cm):
 
 @pytest.mark.parametrize("a,b", [(0, 5), (3, 27), (7, 8), (0, 50), (49, 50)])
 def test_block_source_slice_spans_blocks(cm, a, b):
+    """A contiguous take() across block boundaries."""
     run = mkrun(n=50)
     cm.write_run(run, persisted=True, cache_tier="ssd")
     src = BlockSource(cm, run)
-    got = src.slice("h", a, b)
-    assert (got == run.cols["h"][a:b]).all()
+    got = src.take(("h", "t"), np.arange(a, b))
+    assert (got["h"] == run.cols["h"][a:b]).all()
+    assert (got["t"] == run.cols["t"][a:b]).all()
 
 
 def test_block_source_value_at(cm):
+    """Single-entry take()s, each value as stored."""
     run = mkrun(n=50)
     cm.write_run(run, persisted=True, cache_tier="ssd")
     src = BlockSource(cm, run)
     for i in (0, 7, 8, 9, 49):
-        assert src.value_at("t", i) == int(run.cols["t"][i])
+        assert int(src.take(("t",), np.asarray([i]))["t"][0]) == int(run.cols["t"][i])
 
 
 def test_block_source_caches_blocks_per_query(cm):
@@ -158,10 +161,12 @@ def test_block_source_caches_blocks_per_query(cm):
     cm.write_run(run, persisted=True, cache_tier="ssd")
     src = BlockSource(cm, run)
     cm.h.stats.reset()
-    src.value_at("h", 0)
-    src.value_at("h", 1)  # same block: no second tier read
+    src.take(("h",), np.asarray([0]))
+    src.take(("h", "t"), np.asarray([1, 7, 0]))  # same block: no second tier read
     assert cm.h.stats.snapshot()["reads"]["ssd"] == 1
+    src.take(("h",), np.asarray([8, 0, 49]))  # two new blocks, one read each
+    assert cm.h.stats.snapshot()["reads"]["ssd"] == 3
     # a new source (new query) re-reads — blocks were released (§7)
     src2 = BlockSource(cm, run)
-    src2.value_at("h", 0)
-    assert cm.h.stats.snapshot()["reads"]["ssd"] == 2
+    src2.take(("h",), np.asarray([0]))
+    assert cm.h.stats.snapshot()["reads"]["ssd"] == 4

@@ -8,13 +8,14 @@ from repro.core import query as q
 from repro.core.index import UmziConfig, UmziIndex
 from repro.core.run import GROOMED, IndexRun, IndexSpec
 from repro.core.runlist import RunHandle
+from repro.storage import CacheManager, StorageHierarchy, capture_io
 
 SPEC = IndexSpec(eq_cols=("k",), sort_cols=("s",), include_cols=("v",), hash_bits=5, block_rows=64)
 
 
-def build_workload(n_runs=8, per_run=150, key_space=40, sort_space=20, seed=0):
+def build_workload(n_runs=8, per_run=150, key_space=40, sort_space=20, seed=0, cache=None):
     """Multi-run index with heavy key overlap (updates across runs)."""
-    ix = UmziIndex(SPEC, UmziConfig(K=100, T=2))  # no merging: keep runs
+    ix = UmziIndex(SPEC, UmziConfig(K=100, T=2), cache)  # no merging: keep runs
     frames = []
     for gb in range(n_runs):
         g = np.random.default_rng(seed * 1000 + gb)
@@ -199,3 +200,90 @@ def test_i2_style_two_equality_columns():
                 assert got is not None and got["begin_ts"] == last.ts and got["v"] == last.v
             else:
                 assert got is None
+
+
+@pytest.fixture(params=["memory", "ssd"])
+def cache(request, tmp_path):
+    """No hierarchy (memory-resident runs) or runs cached on the SSD tier
+    (block-backed runs), so a test taking it runs on both sources."""
+    if request.param == "memory":
+        return None
+    return CacheManager(StorageHierarchy(str(tmp_path)))
+
+
+def test_pure_range_index_batch_lookup(cache):
+    """No equality columns: every entry hashes to 0 and the offset-array
+    bucket is the whole run."""
+    spec = IndexSpec(sort_cols=("s",), include_cols=("v",), hash_bits=4, block_rows=16)
+    ix = UmziIndex(spec, UmziConfig(K=100, T=2), cache)
+    frames = []
+    for gb in range(3):
+        g = np.random.default_rng(gb)
+        n = 120
+        df = pd.DataFrame({
+            "s": g.integers(0, 60, n).astype(np.int64),
+            "ts": (np.int64(gb) << 16) + np.arange(n, dtype=np.int64),
+            "v": g.integers(0, 10**9, n).astype(np.int64),
+        })
+        ix.add_groomed_run(IndexRun.build(
+            spec, zone=GROOMED, level=0, gbid_lo=gb, gbid_hi=gb,
+            eq={}, sorts={"s": df.s.values}, begin_ts=df.ts.values,
+            rid_zone=np.zeros(n), rid_block=np.full(n, gb), rid_off=np.arange(n),
+            includes={"v": df.v.values},
+        ))
+        frames.append(df)
+    df = pd.concat(frames, ignore_index=True)
+    probes = np.arange(-5, 70, dtype=np.int64)  # every key, plus misses
+    for qts in ((1 << 16) + 60, 2**62):
+        res = q.batch_lookup(ix, [], [probes], qts)
+        got = sorted(zip(res["s"].tolist(), res["begin_ts"].tolist(), res["v"].tolist()))
+        d = df[df.ts <= qts].sort_values("ts").groupby("s").last()
+        assert got == sorted(zip(d.index.tolist(), d.ts.tolist(), d.v.tolist()))
+
+
+def test_batch_lookup_duplicate_probes_one_row_per_key(cache):
+    ix, df = build_workload(seed=4, cache=cache)
+    ks = np.asarray([7, 7, 7, 3, 3, 99, 99], np.int64)  # 99 is never ingested
+    ss = np.asarray([4, 4, 4, 0, 0, 1, 1], np.int64)
+    res = q.batch_lookup(ix, [ks], [ss], 2**62)
+    got = sorted(zip(res["k"].tolist(), res["s"].tolist(), res["begin_ts"].tolist()))
+    want = []
+    for kv, sv in sorted(set(zip(ks.tolist(), ss.tolist()))):
+        hit = oracle_scan(df, kv, sv, sv, 2**62)
+        want += [(kv, sv, ts) for _s, ts, _v in hit]
+    assert got == want
+
+
+def test_memory_and_ssd_runs_charge_the_same_block_reads(tmp_path):
+    """One modelled SSD read per data block a query touches, whether the
+    run is memory-resident or read block by block from the SSD cache; a
+    block counts once per (run, query)."""
+    spec = IndexSpec(eq_cols=("k",), sort_cols=("s",), hash_bits=3, block_rows=32)
+    n = 8 * 32  # whole blocks, so both sources charge equal block sizes
+    g = np.random.default_rng(0)
+    run = IndexRun.build(
+        spec, zone=GROOMED, level=0, gbid_lo=0, gbid_hi=0,
+        eq={"k": g.integers(0, 50, n)}, sorts={"s": g.integers(0, 5, n)},
+        begin_ts=np.arange(n), rid_zone=np.zeros(n), rid_block=np.zeros(n),
+        rid_off=np.arange(n),
+    )
+    mem_ix = UmziIndex(spec)
+    ssd_ix = UmziIndex(spec, cache=CacheManager(StorageHierarchy(str(tmp_path))))
+    for ix in (mem_ix, ssd_ix):
+        ix.add_groomed_run(run)
+    for ks in (g.integers(0, 50, 3), g.integers(0, 50, 400)):
+        ss = g.integers(0, 5, len(ks))
+        charged = []
+        for ix in (mem_ix, ssd_ix):
+            with capture_io() as cap:
+                q.batch_lookup(ix, [ks], [ss], 2**62)
+            charged.append((cap.reads, cap.seconds))
+        (mem_reads, mem_s), (ssd_reads, ssd_s) = charged
+        assert mem_reads == ssd_reads
+        assert mem_s == pytest.approx(ssd_s)
+        assert 0 < ssd_reads["ssd"] <= run.n_blocks
+    assert ssd_reads["ssd"] == run.n_blocks  # 400 probes touch every block
+    with capture_io() as cap:  # each query pays its blocks again
+        q.batch_lookup(mem_ix, [ks], [ss], 2**62)
+        q.batch_lookup(mem_ix, [ks], [ss], 2**62)
+    assert cap.reads["ssd"] == 2 * run.n_blocks

@@ -183,6 +183,8 @@ def test_rid_decoding():
 
 @pytest.mark.parametrize("block_rows", [1, 3, 8])
 def test_block_source_equals_memory_source(block_rows, tmp_path):
+    from repro.core import query as q
+    from repro.core.index import UmziIndex
     from repro.storage import CacheManager, StorageHierarchy
     from repro.storage.cache import BlockSource
 
@@ -197,6 +199,17 @@ def test_block_source_equals_memory_source(block_rows, tmp_path):
             b = run.search((dev,), (0,), (3,), qts, source=src)
             assert a["begin_ts"].tolist() == b["begin_ts"].tolist()
             assert a["msg"].tolist() == b["msg"].tolist()
+    # batch_lookup over the same run, memory-resident vs block-backed
+    mem_ix = UmziIndex(spec)
+    blk_ix = UmziIndex(spec, cache=CacheManager(StorageHierarchy(str(tmp_path / "ix"))))
+    for ix in (mem_ix, blk_ix):
+        ix.add_groomed_run(run)
+    devs = np.asarray([1, 3, 3, 4, 4, 4, 5, 8, 9], np.int64)
+    msgs = np.asarray([1, 0, 1, 1, 2, 3, 1, 2, 0], np.int64)
+    for qts in (94, 100, 105):
+        a = q.batch_lookup(mem_ix, [devs], [msgs], qts)
+        b = q.batch_lookup(blk_ix, [devs], [msgs], qts)
+        assert {c: v.tolist() for c, v in a.items()} == {c: v.tolist() for c, v in b.items()}
 
 
 def test_two_sort_columns_tuple_filter():
@@ -224,3 +237,37 @@ def test_two_sort_columns_tuple_filter():
     got = sorted(zip(res["s1"].tolist(), res["s2"].tolist(), res["begin_ts"].tolist()))
     want = sorted(zip(exp.s1.tolist(), exp.s2.tolist(), exp.ts.tolist()))
     assert got == want
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lower_bound_matches_linear_scan(seed):
+    """The search kernel against a linear scan, over 1–4 order fields,
+    both sides, ranges narrower and wider than a block, and batches small
+    enough to split ranges many ways or large enough to bisect."""
+    from repro.core.run import lower_bound
+
+    g = np.random.default_rng(seed)
+    n = 300
+    spec = IndexSpec(eq_cols=("k",), sort_cols=("s",), hash_bits=2, block_rows=int(g.integers(4, 40)))
+    run = IndexRun.build(
+        spec, zone=GROOMED, level=0, gbid_lo=0, gbid_hi=0,
+        eq={"k": g.integers(0, 4, n)}, sorts={"s": g.integers(0, 6, n)},
+        begin_ts=g.integers(0, 9, n), rid_zone=np.zeros(n), rid_block=np.zeros(n),
+        rid_off=np.arange(n),
+    )
+    for nfields in range(1, 5):
+        fields = spec.order_fields[:nfields]
+        rows = list(zip(*(run.cols[f].tolist() for f in fields)))
+        for m in (1, 3, 500):
+            pick = g.integers(0, n, m)
+            probes = [run.cols[f][pick] + g.integers(0, 2, m).astype(np.uint64) for f in fields]
+            lo = g.integers(0, n + 1, m)
+            hi = np.minimum(n, lo + g.integers(0, n + 1, m))
+            right = g.random(m) < 0.5
+            got = lower_bound(MemorySource(run), fields, probes, lo, hi, right=right)
+            for i in range(m):
+                p = tuple(int(x[i]) for x in probes)
+                want = int(lo[i])
+                while want < hi[i] and (rows[want] < p or (right[i] and rows[want] == p)):
+                    want += 1
+                assert got[i] == want, (nfields, m, i)
