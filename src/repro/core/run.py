@@ -572,14 +572,11 @@ class IndexRun:
         return buf.getvalue()
 
     @staticmethod
-    def decode_block(spec: IndexSpec, data: bytes, rows: int) -> dict[str, np.ndarray]:
-        out = {}
-        off = 0
-        for f in spec.fields:
-            nb = rows * 8
-            out[f] = np.frombuffer(data, dtype=np.uint64, count=rows, offset=off)
-            off += nb
-        return out
+    def decode_block(spec: IndexSpec, data: bytes, rows: int) -> np.ndarray:
+        """Data block bytes → a ``(len(spec.fields), rows)`` uint64 view,
+        one row per field in ``spec.fields`` order."""
+        nf = len(spec.fields)
+        return np.frombuffer(data, np.uint64, count=nf * rows).reshape(nf, rows)
 
     @classmethod
     def from_header_and_blocks(
@@ -587,19 +584,11 @@ class IndexRun:
     ) -> "IndexRun":
         """Rebuild a fully-resident run from its persisted form (§5.5)."""
         spec = IndexSpec.from_json(header["spec"])
-        n = header["n_entries"]
-        cols = {f: [] for f in spec.fields}
-        remaining = n
-        for blk in blocks:
-            rows = min(spec.block_rows, remaining)
-            d = cls.decode_block(spec, blk, rows)
-            for f in spec.fields:
-                cols[f].append(d[f])
-            remaining -= rows
-        merged = {
-            f: (np.concatenate(v) if v else np.empty(0, np.uint64))
-            for f, v in cols.items()
-        }
+        n, br = header["n_entries"], spec.block_rows
+        arr = np.concatenate(
+            [cls.decode_block(spec, blk, min(br, n - i * br)) for i, blk in enumerate(blocks)],
+            axis=1,
+        )
         return cls(
             spec,
             run_id=header["run_id"],
@@ -607,7 +596,7 @@ class IndexRun:
             level=header["level"],
             gbid_lo=header["gbid_lo"],
             gbid_hi=header["gbid_hi"],
-            cols=merged,
+            cols=dict(zip(spec.fields, arr)),
             offset_array=np.asarray(header["offset_array"], dtype=np.int64),
             synopsis={k: (v[0], v[1]) for k, v in header["synopsis"].items()},
             ancestors=tuple(header["ancestors"]),

@@ -87,10 +87,14 @@ class CacheManager:
         """mem → SSD → shared; a shared-storage hit caches the block on SSD
         (block-basis transfer, §7)."""
         key = _block_key(run_id, i)
-        if self.h.mem.exists(key):
-            return self.h.mem.get(key)
-        if self.h.ssd.exists(key):
-            return self.h.ssd.get(key)
+        # Try each local tier and fall through on a miss, rather than test
+        # exists() first: a purge between the test and the read would fail
+        # the query. Only a successful get charges a read.
+        for tier in (self.h.mem, self.h.ssd):
+            try:
+                return tier.get(key)
+            except (KeyError, FileNotFoundError):
+                pass
         data = self.h.shared.get(key)
         try:
             self.h.ssd.put(key, data)
@@ -172,33 +176,42 @@ class CacheManager:
 class BlockSource(EntrySource):
     """Query-side entry source reading data blocks through the cache.
 
-    Each touched block is read once through :meth:`CacheManager.read_block`
-    and decoded. Decoded blocks are held only for the lifetime of this
-    source (one query), matching §7: "after the query is finished, the
-    cached data blocks are released".
+    Each touched block is read once through :meth:`CacheManager.read_block`,
+    decoded, and copied into one slot of a single
+    ``(slots, len(spec.fields), block_rows)`` buffer; ``_slot`` maps a block
+    id to its slot. A gather is then one fancy index per field, whichever
+    blocks its positions fall in. The buffer doubles as blocks arrive, up to
+    the run's block count, so a query pays only for the blocks it touches.
+    It lives only as long as this source (one query), matching §7: "after
+    the query is finished, the cached data blocks are released".
     """
 
     def __init__(self, cache: CacheManager, run: IndexRun):
         super().__init__(run.spec, run.n_entries)
         self.cache = cache
         self.run_id = run.run_id
-        self._decoded: dict[int, dict[str, np.ndarray]] = {}
+        self._col = {f: i for i, f in enumerate(run.spec.fields)}
+        self._slot = np.zeros(run.n_blocks, np.int64)
+        self._buf = np.empty((0, len(run.spec.fields), run.spec.block_rows), np.uint64)
+        self._used = 0
 
     def _load(self, blocks: np.ndarray) -> None:
+        used, need = self._used, self._used + len(blocks)
+        if need > len(self._buf):
+            slots = min(len(self._slot), max(need, 2 * len(self._buf)))
+            grown = np.empty((slots,) + self._buf.shape[1:], np.uint64)
+            grown[:used] = self._buf[:used]
+            self._buf = grown
         br = self.spec.block_rows
         for bi in blocks.tolist():
             rows = min(br, self.n_entries - bi * br)
-            self._decoded[bi] = IndexRun.decode_block(
+            self._buf[used, :, :rows] = IndexRun.decode_block(
                 self.spec, self.cache.read_block(self.run_id, bi), rows
             )
+            self._slot[bi] = used
+            used += 1
+        self._used = used
 
     def _gather(self, fields, positions, blocks):
-        # Each decoded block is its own array: gather block by block.
-        out = {f: np.empty(len(positions), np.uint64) for f in fields}
-        order = np.argsort(blocks)
-        ids, starts = np.unique(blocks[order], return_index=True)
-        for bi, sel in zip(ids.tolist(), np.split(order, starts[1:])):
-            blk, offs = self._decoded[bi], positions[sel] - bi * self.spec.block_rows
-            for f in fields:
-                out[f][sel] = blk[f][offs]
-        return out
+        slot, offs = self._slot[blocks], positions - blocks * self.spec.block_rows
+        return {f: self._buf[slot, self._col[f], offs] for f in fields}

@@ -170,3 +170,45 @@ def test_block_source_caches_blocks_per_query(cm):
     src2 = BlockSource(cm, run)
     src2.take(("h",), np.asarray([0]))
     assert cm.h.stats.snapshot()["reads"]["ssd"] == 4
+
+
+def test_read_block_survives_purge_mid_read(cm, monkeypatch):
+    """A purge that lands between finding a block on SSD and reading it
+    falls through to shared storage, which re-caches the block (§7)."""
+    run = mkrun()
+    cm.write_run(run, persisted=True, cache_tier="ssd")
+    key = _block_key(run.run_id, 0)
+    ssd_get = cm.h.ssd.get
+
+    def purged_then_get(k):
+        cm.h.ssd.delete(k)
+        return ssd_get(k)
+
+    monkeypatch.setattr(cm.h.ssd, "get", purged_then_get)
+    assert cm.read_block(run.run_id, 0) == run.block_bytes(0)
+    assert cm.h.ssd.exists(key)
+
+
+def test_block_source_slot_buffer_grows_to_run_block_count(cm):
+    """Random takes over a run with a partial last block: the slot buffer
+    grows as blocks arrive, never beyond the run's block count, and each
+    block is read from its tier once per source."""
+    run = mkrun(n=50)  # 7 blocks of 8 rows, the last holding 2
+    cm.write_run(run, persisted=True, cache_tier="ssd")
+    src = BlockSource(cm, run)
+    cm.h.stats.reset()
+    rng = np.random.default_rng(3)
+    seen: set[int] = set()
+    for size in (1, 2, 4, 8, 16, 50):
+        pos = rng.integers(0, run.n_entries, size)
+        got = src.take(SPEC.fields, pos)
+        for f in SPEC.fields:
+            assert (got[f] == run.cols[f][pos]).all()
+        seen |= set((pos // SPEC.block_rows).tolist())
+        assert cm.h.stats.snapshot()["reads"]["ssd"] == len(seen)
+        assert len(src._buf) <= run.n_blocks
+    got = src.take(SPEC.fields, np.arange(run.n_entries))
+    for f in SPEC.fields:
+        assert (got[f] == run.cols[f]).all()
+    assert cm.h.stats.snapshot()["reads"]["ssd"] == run.n_blocks
+    assert len(src._buf) == run.n_blocks

@@ -140,8 +140,8 @@ def test_block_layout_and_decode(block_rows, n):
     for i in range(run.n_blocks):
         rows = min(block_rows, remaining)
         d = IndexRun.decode_block(spec, run.block_bytes(i), rows)
-        for f in spec.fields:
-            rebuilt[f].append(d[f])
+        for j, f in enumerate(spec.fields):
+            rebuilt[f].append(d[j])
         remaining -= rows
     for f in spec.fields:
         got = np.concatenate(rebuilt[f]) if rebuilt[f] else np.empty(0, np.uint64)
