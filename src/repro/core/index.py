@@ -206,9 +206,7 @@ class UmziIndex:
         """§5.5: covered gbid + IndexedPSN are persisted after each evolve."""
         if self.cache is None:
             return
-        shared = self.cache.h.shared
-        shared.delete(_STATE_KEY)
-        shared.put(
+        self.cache.h.shared.overwrite(
             _STATE_KEY,
             json.dumps(
                 {

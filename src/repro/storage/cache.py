@@ -27,12 +27,16 @@ from repro.core.run import EntrySource, IndexRun
 from repro.storage.tiers import StorageHierarchy
 
 
+def _run_dir(run_id: str) -> str:
+    return f"runs/{run_id}"
+
+
 def _header_key(run_id: str) -> str:
-    return f"runs/{run_id}/header"
+    return f"{_run_dir(run_id)}/header"
 
 
 def _block_key(run_id: str, i: int) -> str:
-    return f"runs/{run_id}/block.{i:05d}"
+    return f"{_run_dir(run_id)}/block.{i:05d}"
 
 
 @dataclass
@@ -155,6 +159,7 @@ class CacheManager:
             tier.delete(_header_key(run_id))
             for i in range(n_blocks):
                 tier.delete(_block_key(run_id, i))
+            tier.delete_dir(_run_dir(run_id))
 
     # ------------------------------------------------------------ recovery IO
     def list_shared_headers(self) -> list[dict]:

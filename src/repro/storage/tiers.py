@@ -8,8 +8,9 @@ virtual I/O seconds, which is what reproduces the paper's cache-behaviour
 figures (Fig. 14) on arbitrary container hardware.
 
 Shared-storage semantics honoured here, per §1/§6 of the paper:
-append-only writes (no in-place update API is exposed — a name can only be
-put once unless deleted first), block-granular reads, high per-access
+append-only writes (a name can only be put once unless deleted first; the
+one exception is ``DirTier.overwrite``, an atomic replace for the two small
+metadata keys), block-granular reads, high per-access
 latency, preference for few large files (the latency model's fixed seek
 cost per access makes many small files expensive, as in the paper).
 """
@@ -131,7 +132,7 @@ class IOStats:
 
 
 class _Tier:
-    """Named-blob store interface: put/get/delete/exists/list."""
+    """Named-blob store interface: put/get/delete/exists/list/delete_dir."""
 
     name: str
 
@@ -149,6 +150,10 @@ class _Tier:
 
     def list(self, prefix: str = "") -> list[str]:
         raise NotImplementedError
+
+    def delete_dir(self, prefix: str) -> None:
+        """Remove the directory ``prefix`` if it is empty (no-op for tiers
+        without directories)."""
 
 
 class MemTier(_Tier):
@@ -194,7 +199,8 @@ class DirTier(_Tier):
 
     Keys may contain ``/``; they map to files under ``root``. Writes are
     write-once (append-only semantics of shared storage, §1): putting an
-    existing key raises unless it was deleted first.
+    existing key raises unless it was deleted first. ``overwrite`` is the
+    explicit atomic replace for metadata keys.
     """
 
     def __init__(self, name: str, root: str, stats: IOStats, latency: TierLatency):
@@ -211,10 +217,10 @@ class DirTier(_Tier):
             raise ValueError(f"key escapes tier root: {key}")
         return p
 
-    def put(self, key: str, data: bytes) -> None:
+    def _write(self, key: str, data: bytes, *, replace: bool) -> None:
         p = self._path(key)
         with self._lock:
-            if os.path.exists(p):
+            if not replace and os.path.exists(p):
                 raise FileExistsError(
                     f"{self.name} tier is append-only; {key} already exists"
                 )
@@ -224,6 +230,18 @@ class DirTier(_Tier):
                 f.write(data)
             os.replace(tmp, p)
         self._stats.charge_write(self.name, len(data), self._latency)
+
+    def put(self, key: str, data: bytes) -> None:
+        self._write(key, data, replace=False)
+
+    def overwrite(self, key: str, data: bytes) -> None:
+        """Atomically replace ``key`` (tmp file + ``os.replace``).
+
+        Only for the small metadata keys (index state, PSN metadata), like
+        a CURRENT/MANIFEST swap: a reader or a crash sees the old or the
+        new value, never no value. Data blocks stay write-once via put().
+        """
+        self._write(key, data, replace=True)
 
     def get(self, key: str) -> bytes:
         with open(self._path(key), "rb") as f:
@@ -236,6 +254,15 @@ class DirTier(_Tier):
         with self._lock:
             if os.path.exists(p):
                 os.remove(p)
+
+    def delete_dir(self, prefix: str) -> None:
+        # Under the lock, so it cannot remove a directory between put's
+        # makedirs and its write.
+        with self._lock:
+            try:
+                os.rmdir(self._path(prefix))
+            except OSError:  # missing, or not empty: keep it
+                pass
 
     def exists(self, key: str) -> bool:
         return os.path.exists(self._path(key))

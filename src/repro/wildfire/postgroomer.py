@@ -82,8 +82,7 @@ class PostGroomer:
             "gbid_hi": gbid_hi,
             "n_rows": n_rows,
         }
-        self.h.shared.delete(key)
-        self.h.shared.put(key, json.dumps(meta).encode())
+        self.h.shared.overwrite(key, json.dumps(meta).encode())
 
     def read_meta(self) -> dict:
         key = psn_meta_key(self.schema.name)

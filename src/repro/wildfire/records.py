@@ -17,9 +17,11 @@ an append-only store must use.
 from __future__ import annotations
 
 import io
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.typing import ArrayLike
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -53,9 +55,17 @@ class TableSchema:
             raise ValueError("partition key must be user columns")
 
 
-def to_parquet_bytes(pdf: pd.DataFrame) -> bytes:
+def to_parquet_bytes(columns: Mapping[str, ArrayLike]) -> bytes:
+    """Encode named 1-D columns (a dict of arrays or a DataFrame), in their
+    order, as one Parquet file without dictionary pages.
+
+    Block columns are mostly keys, timestamps and RIDs with thousands of
+    distinct values per block, where dictionary encoding costs time and
+    rarely saves space.
+    """
+    table = pa.table({c: np.asarray(columns[c]) for c in columns})
     buf = io.BytesIO()
-    pq.write_table(pa.Table.from_pandas(pdf, preserve_index=False), buf)
+    pq.write_table(table, buf, use_dictionary=False)
     return buf.getvalue()
 
 

@@ -1,0 +1,22 @@
+"""Fixtures shared by the test modules."""
+import os
+
+import pytest
+
+
+@pytest.fixture
+def fail_write(monkeypatch):
+    """``fail_write(suffix)``: from then on, any file write whose final
+    rename lands on a path ending in ``suffix`` raises ``OSError``, as if
+    the node crashed before the new contents became visible."""
+    real_replace = os.replace
+
+    def arm(suffix: str) -> None:
+        def replace(src, dst, *args, **kwargs):
+            if os.fspath(dst).endswith(suffix):
+                raise OSError(f"injected write failure: {dst}")
+            return real_replace(src, dst, *args, **kwargs)
+
+        monkeypatch.setattr(os, "replace", replace)
+
+    return arm

@@ -78,6 +78,21 @@ def test_recover_after_clean_crash(tmp_path):
     assert_queries_match(ix2, df)
 
 
+def test_failed_state_write_keeps_previous_state(tmp_path, fail_write):
+    """state.json is replaced atomically: a crash while the second evolve
+    writes it leaves the first evolve's covered gbid and IndexedPSN."""
+    hier, cm, ix, df = make_populated(tmp_path)
+    first = (ix.pg_covered_gbid, ix.indexed_psn)
+    assert first == (3, 1)
+    fail_write("index/state.json")
+    with pytest.raises(OSError, match="injected"):
+        ix.evolve(pg_run([entries(gb) for gb in (4, 5)], 4, 5, psn=2), psn=2)
+    hier.crash_node()
+    ix2 = recover(SPEC, CFG, CacheManager(hier))
+    assert (ix2.pg_covered_gbid, ix2.indexed_psn) == first
+    assert_queries_match(ix2, df)
+
+
 def test_recover_without_any_evolve(tmp_path):
     hier, cm, ix, df = make_populated(tmp_path, evolve_upto=None)
     hier.crash_node()

@@ -1,10 +1,15 @@
 """Wildfire-lite lifecycle — paper §2.1 (live → groomed → post-groomed)."""
+import io
+import os
+
 import numpy as np
 import pandas as pd
+import pyarrow.parquet as pq
 import pytest
 
 from repro.core import query as q
 from repro.core.index import UmziConfig, UmziIndex
+from repro.core.run import GROOMED, IndexRun
 from repro.experiments import defs
 from repro.storage import CacheManager, StorageHierarchy
 from repro.wildfire import (
@@ -72,6 +77,14 @@ class TestShard:
         shard.ingest(batch([7]))
         assert hier.ssd.list("livelog/iot/")
 
+    def test_groom_truncates_live_log(self, stack):
+        hier, _, shard, groomer, *_ = stack
+        shard.ingest(batch([7, 8]))
+        shard.ingest(batch([9], seed=1))
+        assert len(hier.ssd.list("livelog/iot/")) == 2
+        groomer.groom()
+        assert hier.ssd.list("livelog/iot/") == []
+
 
 class TestGroomer:
     def test_groom_empty_live_zone(self, stack):
@@ -108,6 +121,45 @@ class TestGroomer:
         assert (blk["prev_rid_zone"] == -1).all()
         assert blk["rid_off"].tolist() == list(range(5))
         assert (blk["rid_zone"] == 0).all()
+
+    def test_groomed_block_round_trip(self, stack):
+        hier, ix, shard, groomer, *_ = stack
+        frames = [batch([3, 4, 9]), batch([1, 2], seed=1)]
+        for f in frames:
+            shard.ingest(f)
+        gbid = groomer.groom()
+        data = hier.shared.get(groomed_block_key("iot", gbid))
+        blk = from_parquet_bytes(data)
+        hidden = ["begin_ts", "end_ts", "prev_rid_zone", "prev_rid_block",
+                  "prev_rid_off", "rid_zone", "rid_block", "rid_off"]
+        assert list(blk.columns) == list(SCHEMA.columns) + hidden
+        assert all(blk[c].dtype == np.int64 for c in blk.columns)
+        # User values in commit order.
+        pd.testing.assert_frame_equal(
+            blk[list(SCHEMA.columns)], pd.concat(frames, ignore_index=True)
+        )
+        assert blk["begin_ts"].tolist() == [(1 << TS_CYCLE_BITS) + i for i in range(5)]
+        assert (blk["rid_block"] == gbid).all()
+        meta = pq.ParquetFile(io.BytesIO(data)).metadata
+        for rg in range(meta.num_row_groups):
+            for c in range(meta.num_columns):
+                assert not meta.row_group(rg).column(c).has_dictionary_page
+        # The groomer's run is the run built over the read-back block.
+        run = ix.groomed.snapshot()[0].run
+        spec = ix.spec
+        ref = IndexRun.build(
+            spec, zone=GROOMED, level=0, gbid_lo=gbid, gbid_hi=gbid,
+            eq={c: blk[c].to_numpy() for c in spec.eq_cols},
+            sorts={c: blk[c].to_numpy() for c in spec.sort_cols},
+            begin_ts=blk["begin_ts"].to_numpy(),
+            rid_zone=blk["rid_zone"].to_numpy(),
+            rid_block=blk["rid_block"].to_numpy(),
+            rid_off=blk["rid_off"].to_numpy(),
+            includes={c: blk[c].to_numpy() for c in spec.include_cols},
+        )
+        assert run.cols.keys() == ref.cols.keys()
+        for f in spec.fields:
+            np.testing.assert_array_equal(run.cols[f], ref.cols[f])
 
     def test_groomed_data_queryable_via_index(self, stack):
         _, ix, shard, groomer, *_ = stack
@@ -199,6 +251,26 @@ class TestPostGroomAndEvolve:
         hier, ix, *_ = self._run_cycles(stack)
         assert ix.pg_covered_gbid == 5
         assert all(h.gbid_hi > 5 for h in ix.groomed.snapshot())
+
+    def test_failed_publish_keeps_previous_psn_meta(self, stack, fail_write):
+        """psn.json is replaced atomically: a failed second publish leaves
+        the first one's metadata."""
+        hier, ix, shard, groomer, pg, indexer = self._run_cycles(stack, n_cycles=3)
+        assert pg.read_meta()["max_psn"] == 1
+        shard.ingest(batch(range(20), seed=9))
+        groomer.groom()
+        fail_write("meta/psn.json")
+        with pytest.raises(OSError, match="injected"):
+            pg.post_groom(upto_gbid=groomer.next_gbid - 1)
+        assert pg.read_meta()["max_psn"] == 1
+
+    def test_gc_leaves_no_run_directories_behind(self, stack):
+        hier, ix, *_ = self._run_cycles(stack)
+        assert ix.pg_covered_gbid == 5  # evolve GC ran
+        assert max(ix.describe()["levels"]) > 0  # merges ran
+        known = set(ix.cache.known_runs())
+        for tier in (hier.ssd, hier.shared):
+            assert set(os.listdir(os.path.join(tier.root, "runs"))) <= known
 
     def test_post_groom_nothing_pending(self, stack):
         hier, ix, shard, groomer, pg, indexer = stack
