@@ -8,7 +8,10 @@ the sort columns) and **point lookups** (entire key bound). Both take a
 Reconciliation across runs is implemented both ways the paper describes
 (§7.1.2): the **set approach** (search newest→oldest, remember returned
 keys) and the **priority-queue approach** (k-way merge of per-run sorted
-results). Batched point lookups visit runs newest→oldest, searching
+results). Both turn each run's key columns into Python tuples in one pass
+and pick row positions; the kept rows are gathered once at the end.
+
+Batched point lookups visit runs newest→oldest, searching
 each for all pending probes at once, with per-probe early exit (§7.2);
 a point lookup is a batch of one. Run-level synopsis
 pruning uses the batch's key envelope, which is what makes sequential
@@ -17,39 +20,45 @@ batches much cheaper than random ones (Fig. 10 vs 11).
 from __future__ import annotations
 
 import heapq
+from itertools import repeat
 
 import numpy as np
 
 from repro.core import encoding as enc
 from repro.core.index import UmziIndex
-from repro.core.run import IndexRun, lower_bound
-
-
-def _result_names(index: UmziIndex) -> list[str]:
-    s = index.spec
-    return (
-        list(s.eq_cols)
-        + list(s.sort_cols)
-        + ["begin_ts", "rid_zone", "rid_block", "rid_off"]
-        + list(s.include_cols)
-    )
+from repro.core.run import IndexRun, IndexSpec, lower_bound
 
 
 def _empty(index: UmziIndex) -> dict[str, np.ndarray]:
-    return {c: np.empty(0, np.int64) for c in _result_names(index)}
+    return {c: np.empty(0, np.int64) for c in index.spec.result_cols}
 
 
 def _concat(index: UmziIndex, parts: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
     if not parts:
         return _empty(index)
     return {
-        c: np.concatenate([p[c] for p in parts]) for c in _result_names(index)
+        c: np.concatenate([p[c] for p in parts]) for c in index.spec.result_cols
     }
 
 
-def _key_tuple(index: UmziIndex, res: dict[str, np.ndarray], i: int) -> tuple:
-    s = index.spec
-    return tuple(int(res[c][i]) for c in s.eq_cols + s.sort_cols)
+def _gather(
+    index: UmziIndex, parts: list[dict[str, np.ndarray]], rows: list[int]
+) -> dict[str, np.ndarray]:
+    """Rows ``rows`` (positions in the concatenation of ``parts``), in
+    that order: each part stacked into one matrix, the matrices joined,
+    then one gather."""
+    names = index.spec.result_cols
+    if not parts:
+        return _empty(index)
+    mats = [np.array([p[c] for c in names]) for p in parts]
+    mat = mats[0] if len(mats) == 1 else np.concatenate(mats, axis=1)
+    return dict(zip(names, np.take(mat, rows, axis=1)))
+
+
+def key_tuples(spec: IndexSpec, res: dict[str, np.ndarray]) -> list[tuple]:
+    """The key (equality columns, then sort columns) of every result row,
+    as Python int tuples built in one pass over the columns."""
+    return list(zip(*(res[c].tolist() for c in spec.key_cols)))
 
 
 # ----------------------------------------------------------------- range scan
@@ -80,54 +89,53 @@ def range_scan(
 
 
 def _scan_set(index, candidates, eq_values, sort_lo, sort_hi, query_ts):
-    """Set approach: newest→oldest, keep first (= most recent) per key."""
+    """Set approach: newest→oldest, keep first (= most recent) per key.
+
+    A run's search result holds each key at most once, so a row is kept
+    exactly when its key was not returned by a newer run."""
     seen: set[tuple] = set()
-    keep_parts: list[dict[str, np.ndarray]] = []
+    parts: list[dict[str, np.ndarray]] = []
+    rows: list[int] = []
+    offset = 0
     for h in candidates:  # snapshot order is newest-first
         src = index.source_for(h.run)
         res = h.run.search(eq_values, sort_lo, sort_hi, query_ts, source=src)
-        n = len(res["begin_ts"])
-        if n == 0:
+        keys = key_tuples(index.spec, res)
+        if not keys:
             continue
-        mask = np.zeros(n, dtype=bool)
-        for i in range(n):
-            k = _key_tuple(index, res, i)
-            if k not in seen:
-                seen.add(k)
-                mask[i] = True
-        if mask.any():
-            keep_parts.append({c: v[mask] for c, v in res.items()})
-    return _concat(index, keep_parts)
+        rows += [offset + i for i, k in enumerate(keys) if k not in seen]
+        seen.update(keys)
+        parts.append(res)
+        offset += len(keys)
+    return _gather(index, parts, rows)
 
 
 def _scan_pq(index, candidates, eq_values, sort_lo, sort_hi, query_ts):
     """Priority-queue approach: k-way merge of per-run sorted results,
     emitting the most recent version per key (merge-sort style, §7.1.2)."""
     streams = []
+    parts: list[dict[str, np.ndarray]] = []
+    offset = 0
     for rank, h in enumerate(candidates):
         src = index.source_for(h.run)
         res = h.run.search(eq_values, sort_lo, sort_hi, query_ts, source=src)
-        if len(res["begin_ts"]):
-            streams.append((rank, res))
-    heap: list[tuple] = []
-    for rank, res in streams:
-        # (key, -beginTS, run_rank) ordering: global key order; within a
-        # key the most recent version first; ties broken by run recency.
-        k = _key_tuple(index, res, 0)
-        heapq.heappush(heap, (k, -int(res["begin_ts"][0]), rank, 0, res))
-    out_parts: list[dict[str, np.ndarray]] = []
+        keys = key_tuples(index.spec, res)
+        if not keys:
+            continue
+        # (key, -beginTS, run_rank, row) ordering: global key order; within
+        # a key the most recent version first; ties broken by run recency.
+        n = len(keys)
+        neg_ts = (-res["begin_ts"]).tolist()
+        streams.append(zip(keys, neg_ts, repeat(rank), range(offset, offset + n)))
+        parts.append(res)
+        offset += n
+    rows: list[int] = []
     last_key: tuple | None = None
-    while heap:
-        k, _negts, rank, i, res = heapq.heappop(heap)
+    for k, _negts, _rank, row in heapq.merge(*streams):
         if k != last_key:
-            out_parts.append({c: v[i : i + 1] for c, v in res.items()})
+            rows.append(row)
             last_key = k
-        if i + 1 < len(res["begin_ts"]):
-            nk = _key_tuple(index, res, i + 1)
-            heapq.heappush(
-                heap, (nk, -int(res["begin_ts"][i + 1]), rank, i + 1, res)
-            )
-    return _concat(index, out_parts)
+    return _gather(index, parts, rows)
 
 
 # --------------------------------------------------------------- point lookup

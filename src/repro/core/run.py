@@ -28,6 +28,7 @@ import io
 import json
 import uuid
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -69,7 +70,7 @@ class IndexSpec:
     def key_cols(self) -> tuple[str, ...]:
         return self.eq_cols + self.sort_cols
 
-    @property
+    @cached_property  # read on every search; the spec is immutable
     def fields(self) -> tuple[str, ...]:
         """Physical column order inside a data block (all uint64)."""
         return (
@@ -79,6 +80,32 @@ class IndexSpec:
             + ("t", "z", "b", "o")
             + tuple(f"i{i}" for i in range(len(self.include_cols)))
         )
+
+    @cached_property
+    def result_cols(self) -> tuple[str, ...]:
+        """Named columns of a search result, in ``fields[1:]`` order."""
+        return (
+            self.eq_cols
+            + self.sort_cols
+            + ("begin_ts", "rid_zone", "rid_block", "rid_off")
+            + self.include_cols
+        )
+
+    @cached_property
+    def decode_xor(self) -> np.ndarray:
+        """Per field after the hash, the XOR that turns its stored uint64
+        into the int64 value: the sign flip for key and included columns,
+        the sign flip and complement for the inverted beginTS, and nothing
+        for the RID parts."""
+        sign = 1 << 63
+        masks = (
+            [sign] * len(self.key_cols)
+            + [sign ^ _U64_MAX, 0, 0, 0]
+            + [sign] * len(self.include_cols)
+        )
+        xor = np.asarray(masks, dtype=np.uint64)[:, None]
+        xor.flags.writeable = False  # shared by every search of this spec
+        return xor
 
     @property
     def order_fields(self) -> tuple[str, ...]:
@@ -126,7 +153,7 @@ class EntrySource:
         blocks = positions // self.spec.block_rows
         fresh = blocks[~self._touched[blocks]]
         if len(fresh):
-            fresh = np.unique(fresh)
+            fresh = np.asarray(sorted(set(fresh.tolist())))
             self._touched[fresh] = True
             self._load(fresh)
         return self._gather(fields, positions, blocks)
@@ -165,11 +192,8 @@ class MemorySource(EntrySource):
 # in two rounds, while a large batch bisects and keeps its arrays small.
 PIVOTS = 256
 _U64_MAX = (1 << 64) - 1
-
-
-def _ordered(v: int) -> int:
-    """Order-preserving uint64 encoding of one int64 key value."""
-    return int(enc.to_ordered_u64(np.asarray([v], np.int64))[0])
+# ``right`` of a range search's two probes: its lower and its upper bound.
+_LO_HI = np.array([False, True])
 
 
 def lower_bound(
@@ -192,14 +216,16 @@ def lower_bound(
     """
     out = np.array(lo, dtype=np.int64)
     span = np.asarray(hi, dtype=np.int64) - out
-    idx = np.flatnonzero(span > 0)
+    idx = (span > 0).nonzero()[0]
     a, span = out[idx], span[idx]
     key = np.array(probes)[:, idx, None]
     right = np.full(out.shape, right)[idx, None]
+    wide = True
     while len(idx):
         # Ranges wider than a block are bisected, so a search reads about
-        # log2(blocks) blocks. Pivot j sits at a + (j * span) // fan.
-        wide = span.max() > src.spec.block_rows
+        # log2(blocks) blocks; spans only shrink, so once none is wide no
+        # later round is. Pivot j sits at a + (j * span) // fan.
+        wide = wide and span.max() > src.spec.block_rows
         fan = 2 if wide else max(2, PIVOTS // len(idx))
         piv = a[:, None] + (span[:, None] * np.arange(1, fan)) // fan
         ent = src.take(fields, piv.ravel())
@@ -214,7 +240,7 @@ def lower_bound(
         cut = (c * span) // fan + (c > 0)
         a, span = a + cut, ((c + 1) * span) // fan - cut
         done = span <= 0
-        if done.any():
+        if np.count_nonzero(done):
             out[idx[done]] = a[done]
             keep = ~done
             idx, a, span, key, right = idx[keep], a[keep], span[keep], key[:, keep], right[keep]
@@ -249,6 +275,8 @@ class IndexRun:
         self.synopsis = synopsis
         self.ancestors = tuple(ancestors)
         self.n_entries = 0 if not cols else len(next(iter(cols.values())))
+        # Bucket i of the offset array ends where bucket i + 1 starts.
+        self._bucket_end = np.append(offset_array[1:], self.n_entries)
 
     # ------------------------------------------------------------------ build
     @classmethod
@@ -435,8 +463,7 @@ class IndexRun:
         shares the top ``hash_bits`` of each of ``h`` (§4.2). A pure
         range index hashes every entry to 0: the range is the whole run."""
         top = (h >> np.uint64(64 - self.spec.hash_bits)).astype(np.int64)
-        oa = self.offset_array
-        return oa[top], np.append(oa[1:], self.n_entries)[top]
+        return self.offset_array[top], self._bucket_end[top]
 
     def search(
         self,
@@ -461,55 +488,41 @@ class IndexRun:
         # Lower and upper bound of (hash, eq cols…, first sort col) in one
         # kernel call; an unbounded side takes the extreme uint64 value.
         eq = tuple(int(v) for v in eq_values or ())
-        key = [enc.hash_scalar(eq)] + [_ordered(v) for v in eq]
+        key = [enc.hash_scalar(eq)] + [enc.ordered_scalar(v) for v in eq]
         lo_key, hi_key = list(key), list(key)
         if spec.sort_cols:
-            lo_key.append(0 if sort_lo is None else _ordered(sort_lo[0]))
-            hi_key.append(_U64_MAX if sort_hi is None else _ordered(sort_hi[0]))
-        probes = [np.asarray(p, dtype=np.uint64) for p in zip(lo_key, hi_key)]
+            lo_key.append(0 if sort_lo is None else enc.ordered_scalar(sort_lo[0]))
+            hi_key.append(_U64_MAX if sort_hi is None else enc.ordered_scalar(sort_hi[0]))
+        probes = np.array([lo_key, hi_key], dtype=np.uint64).T
         lo, hi = self.bucket(probes[0])
         a, b = lower_bound(
-            src, spec.fields[: len(lo_key)], probes, lo, hi,
-            right=np.asarray([False, True]),
+            src, spec.fields[: len(lo_key)], probes, lo, hi, right=_LO_HI
         ).tolist()
         if a >= b:
             return self._empty_result()
 
-        sub = src.take(spec.fields, np.arange(a, b))
+        sub = src.take(spec.fields[1:], np.arange(a, b))
 
+        # Timestamp predicate: beginTS <= queryTS ⇔ inverted-ts >= inv(qts).
+        keep = sub["t"] >= np.uint64(_U64_MAX ^ enc.ordered_scalar(query_ts))
         # Remaining sort columns (beyond s0) get an exact tuple filter.
         if len(spec.sort_cols) > 1 and (sort_lo is not None or sort_hi is not None):
-            keep = np.ones(b - a, dtype=bool)
             for i in range(1, len(spec.sort_cols)):
                 col = enc.from_ordered_u64(sub[f"s{i}"])
                 if sort_lo is not None and len(sort_lo) > i:
                     keep &= col >= int(sort_lo[i])
                 if sort_hi is not None and len(sort_hi) > i:
                     keep &= col <= int(sort_hi[i])
-            sub = {f: v[keep] for f, v in sub.items()}
-
-        # Timestamp predicate: beginTS <= queryTS ⇔ inverted-ts >= inv(qts).
-        tq = int(
-            enc.invert_ts(enc.to_ordered_u64(np.asarray([query_ts], np.int64)))[0]
-        )
-        keep = sub["t"] >= np.uint64(tq)
-        sub = {f: v[keep] for f, v in sub.items()}
-        m = len(sub["t"])
-        if m == 0:
-            return self._empty_result()
-
-        # First entry per key == most recent visible version (ts sorted desc).
-        key_fields = [f"k{i}" for i in range(len(spec.eq_cols))] + [
-            f"s{i}" for i in range(len(spec.sort_cols))
-        ]
-        first = np.ones(m, dtype=bool)
-        if m > 1 and key_fields:
-            same = np.ones(m - 1, dtype=bool)
-            for f in key_fields:
+        # A key's kept versions are a suffix of its run of entries (ts
+        # sorted desc, every key column equal), so an entry is the most
+        # recent visible version of its key exactly when it is kept and the
+        # entry before it is not a kept version of the same key.
+        if b - a > 1:
+            same = keep[:-1].copy()
+            for f in spec.fields[1 : 1 + len(spec.key_cols)]:
                 same &= sub[f][1:] == sub[f][:-1]
-            first[1:] = ~same
-        sub = {f: v[first] for f, v in sub.items()}
-        return self._decode(sub)
+            keep[1:] &= ~same
+        return self._decode(sub, keep.nonzero()[0])
 
     def lookup(
         self,
@@ -526,21 +539,15 @@ class IndexRun:
     def _empty_result(self) -> dict[str, np.ndarray]:
         return self._decode({f: np.empty(0, np.uint64) for f in self.spec.fields})
 
-    def _decode(self, sub: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        """Encoded internal fields → user-facing named int64 columns."""
+    def _decode(self, sub: dict[str, np.ndarray], rows=None) -> dict[str, np.ndarray]:
+        """Encoded internal fields (all but the hash), at positions ``rows``
+        if given → user-facing named int64 columns: one stack, one gather
+        and one XOR, giving the columns as the rows of one int64 matrix."""
         spec = self.spec
-        out: dict[str, np.ndarray] = {}
-        for i, c in enumerate(spec.eq_cols):
-            out[c] = enc.from_ordered_u64(sub[f"k{i}"])
-        for i, c in enumerate(spec.sort_cols):
-            out[c] = enc.from_ordered_u64(sub[f"s{i}"])
-        out["begin_ts"] = enc.from_ordered_u64(enc.invert_ts(sub["t"]))
-        out["rid_zone"] = sub["z"].astype(np.int64)
-        out["rid_block"] = sub["b"].astype(np.int64)
-        out["rid_off"] = sub["o"].astype(np.int64)
-        for i, c in enumerate(spec.include_cols):
-            out[c] = enc.from_ordered_u64(sub[f"i{i}"])
-        return out
+        mat = np.array([sub[f] for f in spec.fields[1:]], dtype=np.uint64)
+        if rows is not None:
+            mat = np.take(mat, rows, axis=1)
+        return dict(zip(spec.result_cols, (mat ^ spec.decode_xor).view(np.int64)))
 
     # ------------------------------------------------------------ persistence
     @property

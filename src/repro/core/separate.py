@@ -64,12 +64,10 @@ class SeparateZoneIndexes:
     ) -> dict[str, np.ndarray]:
         """The extra per-query reconciliation a divided view forces."""
         u = self.query_naive(eq_values, sort_lo, sort_hi, query_ts)
-        n = len(u["begin_ts"])
-        keys = {}
-        spec = self.spec
-        for i in range(n):
-            k = tuple(int(u[c][i]) for c in spec.eq_cols + spec.sort_cols)
-            if k not in keys or int(u["begin_ts"][i]) > int(u["begin_ts"][keys[k]]):
-                keys[k] = i
-        sel = np.asarray(sorted(keys.values()), dtype=np.int64)
+        ts = u["begin_ts"].tolist()
+        best: dict[tuple, int] = {}  # key -> row of its newest version
+        for i, k in enumerate(q.key_tuples(self.spec, u)):
+            if k not in best or ts[i] > ts[best[k]]:
+                best[k] = i
+        sel = np.asarray(sorted(best.values()), dtype=np.int64)
         return {c: v[sel] for c, v in u.items()}

@@ -73,6 +73,11 @@ def from_parquet_bytes(data: bytes) -> pd.DataFrame:
     return pq.read_table(io.BytesIO(data)).to_pandas()
 
 
+def _ints(col) -> list[int]:
+    """A column as a list of Python ints, converted in one pass."""
+    return np.asarray(col, dtype=np.int64).tolist()
+
+
 @dataclass
 class EndTsStore:
     """Append-only endTS delta log, merged at read time.
@@ -90,8 +95,8 @@ class EndTsStore:
         rid_off: np.ndarray,
         end_ts: np.ndarray,
     ) -> None:
-        for z, b, o, t in zip(rid_zone, rid_block, rid_off, end_ts):
-            self._d[(int(z), int(b), int(o))] = int(t)
+        rids = zip(*(_ints(c) for c in (rid_zone, rid_block, rid_off)))
+        self._d.update(zip(rids, _ints(end_ts)))
 
     def get(self, rid: tuple[int, int, int]) -> int:
         return self._d.get(rid, int(OPEN_END_TS))
@@ -101,15 +106,10 @@ class EndTsStore:
         if len(pdf) == 0 or not self._d:
             return pdf
         out = pdf.copy()
-        ets = out["end_ts"].to_numpy().copy()
-        zs = out["rid_zone"].to_numpy()
-        bs = out["rid_block"].to_numpy()
-        os_ = out["rid_off"].to_numpy()
-        for i in range(len(out)):
-            k = (int(zs[i]), int(bs[i]), int(os_[i]))
-            if k in self._d:
-                ets[i] = self._d[k]
-        out["end_ts"] = ets
+        rids = zip(*(_ints(out[c]) for c in ("rid_zone", "rid_block", "rid_off")))
+        d = self._d
+        ets = [d.get(k, t) for k, t in zip(rids, _ints(out["end_ts"]))]
+        out["end_ts"] = np.asarray(ets, dtype=np.int64)
         return out
 
     def to_frame(self) -> pd.DataFrame:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import query as q
 from repro.core.index import UmziConfig, UmziIndex
-from repro.core.run import GROOMED, IndexRun, IndexSpec
+from repro.core.run import GROOMED, POSTGROOMED, IndexRun, IndexSpec
 from repro.core.runlist import RunHandle
 from repro.storage import CacheManager, StorageHierarchy, capture_io
 
@@ -70,6 +70,125 @@ def test_range_scan_unknown_method():
     ix, _ = build_workload()
     with pytest.raises(ValueError, match="unknown reconciliation"):
         q.range_scan(ix, (1,), (0,), (5,), 2**62, method="hash")
+
+
+@pytest.mark.parametrize("method", ["set", "pq"])
+def test_scan_same_version_in_two_zones_keeps_first_run_in_snapshot(method):
+    """Evolve window (§5.4): the post-groomed run holding a migrated
+    version is on the PG chain, but the covered groomed block ID has not
+    moved yet, so the groomed run still holds the same (key, beginTS)
+    under its groomed RID. One row comes back, from the run that comes
+    first in the snapshot."""
+    n = 30
+    k = np.full(n, 3, np.int64)
+    srt = np.arange(n, dtype=np.int64)
+    ts = np.arange(n, dtype=np.int64) + 100
+    ix = UmziIndex(SPEC, UmziConfig(K=100, T=2))
+    ix.add_groomed_run(IndexRun.build(
+        SPEC, zone=GROOMED, level=0, gbid_lo=0, gbid_hi=0,
+        eq={"k": k}, sorts={"s": srt}, begin_ts=ts,
+        rid_zone=np.zeros(n), rid_block=np.zeros(n), rid_off=np.arange(n),
+        includes={"v": srt},
+    ))
+    ix.postgroomed.prepend(RunHandle(IndexRun.build(  # evolve step 1 only
+        SPEC, zone=POSTGROOMED, level=6, gbid_lo=0, gbid_hi=0,
+        eq={"k": k}, sorts={"s": srt}, begin_ts=ts,
+        rid_zone=np.ones(n), rid_block=np.full(n, 7), rid_off=np.arange(n) + 500,
+        includes={"v": srt},
+    )))
+    first = ix.query_snapshot().runs[0].run
+    assert first.zone == GROOMED
+    res = q.range_scan(ix, (3,), (5,), (9,), 2**62, method=method)
+    assert res["s"].tolist() == [5, 6, 7, 8, 9]
+    assert res["begin_ts"].tolist() == [105, 106, 107, 108, 109]
+    assert res["rid_zone"].tolist() == [0] * 5
+    assert res["rid_block"].tolist() == [0] * 5
+    assert res["rid_off"].tolist() == [5, 6, 7, 8, 9]
+
+
+@pytest.mark.parametrize("method", ["set", "pq"])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_range_scan_output_order(method, seed):
+    """``pq`` emits rows in ascending key order; ``set`` emits the rows
+    kept from each run together, newest run first, each run's rows in
+    key order."""
+    ix, _df = build_workload(seed=seed)
+    for kv in (0, 7, 39):
+        res = q.range_scan(ix, (kv,), (0,), (19,), 2**62, method=method)
+        s, gb = res["s"].tolist(), res["rid_block"].tolist()  # rid_block = gbid
+        assert len(s) > 1
+        if method == "pq":
+            assert s == sorted(set(s))
+        else:
+            assert gb == sorted(gb, reverse=True)
+            runs = [[x for x, b in zip(s, gb) if b == g] for g in dict.fromkeys(gb)]
+            assert all(r == sorted(set(r)) for r in runs)
+
+
+SPEC2 = IndexSpec(
+    eq_cols=("k",), sort_cols=("s1", "s2"), include_cols=("v",), hash_bits=4, block_rows=32
+)
+
+
+def build_two_sort_workload(n_runs=7, per_run=120):
+    """Seven runs over one equality column and two sort columns. Run 2's
+    entries all sit outside the s2 bound used below (its synopsis admits
+    the scan, its search returns nothing); run 4 holds only k = 9 (its
+    synopsis prunes the scan)."""
+    ix = UmziIndex(SPEC2, UmziConfig(K=100, T=2))
+    frames = []
+    for gb in range(n_runs):
+        g = np.random.default_rng(500 + gb)
+        n = per_run
+        df = pd.DataFrame({
+            "k": np.full(n, 9, np.int64) if gb == 4 else g.integers(0, 3, n).astype(np.int64),
+            "s1": g.integers(0, 6, n).astype(np.int64),
+            "s2": g.integers(50, 60, n).astype(np.int64) if gb == 2
+            else g.integers(0, 6, n).astype(np.int64),
+            "ts": (np.int64(gb) << 16) + np.arange(n, dtype=np.int64),
+            "v": g.integers(0, 10**9, n).astype(np.int64),
+        })
+        ix.add_groomed_run(IndexRun.build(
+            SPEC2, zone=GROOMED, level=0, gbid_lo=gb, gbid_hi=gb,
+            eq={"k": df.k.values}, sorts={"s1": df.s1.values, "s2": df.s2.values},
+            begin_ts=df.ts.values, rid_zone=np.zeros(n), rid_block=np.full(n, gb),
+            rid_off=np.arange(n), includes={"v": df.v.values},
+        ))
+        frames.append(df)
+    return ix, pd.concat(frames, ignore_index=True)
+
+
+@pytest.mark.parametrize("method", ["set", "pq"])
+@pytest.mark.parametrize("qts", [2**62, (5 << 16) + 40])
+def test_two_sort_columns_many_runs_vs_oracle(method, qts):
+    """Each sort column is bounded on its own, as ``IndexRun.search``
+    applies the bounds; the lower ``qts`` hides all of run 6 and most of
+    run 5, so older versions of those keys come back instead."""
+    ix, df = build_two_sort_workload()
+    lo, hi = (1, 0), (4, 3)
+    runs = {h.run.gbid_lo: h.run for h in ix.query_snapshot().runs}
+    assert len(runs) == 7
+    assert runs[2].synopsis_admits((0,), lo, hi)
+    assert not len(runs[2].search((0,), lo, hi, qts)["begin_ts"])
+    assert not runs[4].synopsis_admits((0,), lo, hi)
+    for kv in range(3):
+        res = q.range_scan(ix, (kv,), lo, hi, qts, method=method)
+        got = sorted(zip(
+            res["s1"].tolist(), res["s2"].tolist(), res["begin_ts"].tolist(),
+            res["v"].tolist(), res["rid_block"].tolist(),
+        ))
+        d = df[
+            (df.k == kv) & df.s1.between(lo[0], hi[0]) & df.s2.between(lo[1], hi[1])
+            & (df.ts <= qts)
+        ]
+        d = d.sort_values("ts").groupby(["s1", "s2"]).last().reset_index()
+        want = sorted(zip(
+            d.s1.tolist(), d.s2.tolist(), d.ts.tolist(), d.v.tolist(),
+            (d.ts // (1 << 16)).tolist(),
+        ))
+        assert got and got == want
+        if qts < 2**62:
+            assert max(b for *_, b in got) <= 5
 
 
 @pytest.mark.parametrize("seed", [0, 5])

@@ -292,6 +292,34 @@ class TestEndTsStore:
         out = s.apply(pdf)
         assert out["end_ts"].tolist() == [42, OPEN_END_TS]
 
+    def test_apply_matches_merge_oracle(self):
+        """10K-row block, 1K deltas (900 on its rows, 100 on RIDs it does
+        not hold): ``apply`` equals a pandas left merge of the deltas."""
+        g = np.random.default_rng(0)
+        n = 10_000
+        pdf = pd.DataFrame({
+            "rid_zone": g.integers(0, 2, n),
+            "rid_block": g.integers(0, 40, n),
+            "rid_off": np.arange(n),
+            "end_ts": np.full(n, OPEN_END_TS),
+        }).astype("int64")
+        hit = g.choice(n, 900, replace=False)
+        deltas = pd.DataFrame({
+            "rid_zone": np.concatenate([pdf.rid_zone.values[hit], np.full(100, 1)]),
+            "rid_block": np.concatenate([pdf.rid_block.values[hit], np.full(100, 99)]),
+            "rid_off": np.concatenate([pdf.rid_off.values[hit], np.arange(100)]),
+            "new_ts": g.integers(1, 2**40, 1_000),
+        }).astype("int64")
+        s = EndTsStore()
+        s.set_many(*(deltas[c].to_numpy() for c in deltas.columns))
+        out = s.apply(pdf)
+        rid = ["rid_zone", "rid_block", "rid_off"]
+        m = pdf.merge(deltas, on=rid, how="left")
+        want = m.new_ts.fillna(m.end_ts).astype("int64")
+        assert out["end_ts"].tolist() == want.tolist()
+        assert out[rid].equals(pdf[rid])
+        assert (pdf["end_ts"] == OPEN_END_TS).all()  # input left untouched
+
     def test_to_frame(self):
         s = EndTsStore()
         s.set_many(np.asarray([0]), np.asarray([1]), np.asarray([2]), np.asarray([9]))
