@@ -524,17 +524,6 @@ class IndexRun:
             keep[1:] &= ~same
         return self._decode(sub, keep.nonzero()[0])
 
-    def lookup(
-        self,
-        eq_values: tuple[int, ...] | None,
-        sort_values: tuple[int, ...] | None,
-        query_ts: int,
-        source: EntrySource | None = None,
-    ) -> dict[str, np.ndarray]:
-        """Point lookup: full key, ≤ 1 entry (§7.2) — a degenerate range
-        scan where the sort lower and upper bounds coincide."""
-        return self.search(eq_values, sort_values, sort_values, query_ts, source)
-
     # ----------------------------------------------------------------- decode
     def _empty_result(self) -> dict[str, np.ndarray]:
         return self._decode({f: np.empty(0, np.uint64) for f in self.spec.fields})

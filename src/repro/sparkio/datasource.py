@@ -6,20 +6,21 @@ The reader's life cycle (driver side):
    filters on key columns are remembered for **data skipping** and all
    filters are reported back as unhandled so Spark re-applies them
    (skipping is an optimization, never a correctness dependency);
-2. ``partitions`` loads run headers from shared storage, reconstructs the
-   per-zone visibility rule (groomed runs fully covered by the
-   post-groomed list are ignored — §5.4), prunes runs whose synopsis
-   cannot match the pushed filters, and emits one input partition per
-   surviving run;
-3. ``read`` (executor side) reads that run's data blocks, applies the
-   offset-array narrowing for pushed equality keys, and yields Arrow
-   record batches of decoded index entries tagged with ``_run_rank``
-   (recency rank) for reconciliation in ``scan.unified_view``.
+2. ``partitions`` plans the persisted runs with ``recovery.plan_runs`` —
+   the same §5.4/§5.5 reading of shared storage that crash recovery uses
+   (state before run lists, incomplete and already-merged runs left out,
+   newest first per zone) — then ignores groomed runs fully covered by
+   the post-groomed list (§5.4), prunes runs whose synopsis cannot match
+   the pushed filters, and emits one input partition per surviving run.
+   It never deletes anything;
+3. ``read`` (executor side) reads that run's data blocks with
+   ``recovery.read_run``, applies the offset-array narrowing for pushed
+   equality keys, and yields Arrow record batches of decoded index
+   entries tagged with ``_run_rank`` (recency rank) for reconciliation in
+   ``scan.unified_view``.
 """
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,9 +37,9 @@ from pyspark.sql.datasource import (
 )
 from pyspark.sql.types import LongType, StructField, StructType
 
-from repro.core.run import GROOMED, IndexRun, IndexSpec
-
-_STATE_KEY = "index/state.json"
+from repro.core.recovery import plan_runs, read_run
+from repro.core.run import GROOMED, POSTGROOMED, IndexSpec
+from repro.storage.tiers import SHARED_LATENCY, DirTier, IOStats
 
 
 @dataclass
@@ -48,26 +49,9 @@ class _RunPartition(InputPartition):
     eq_values: dict  # pushed equality constraints col -> value
 
 
-def _read_file(root: str, key: str) -> bytes:
-    with open(os.path.join(root, key), "rb") as f:
-        return f.read()
-
-
-def _exists(root: str, key: str) -> bool:
-    return os.path.exists(os.path.join(root, key))
-
-
-def _list_headers(root: str) -> list[dict]:
-    out = []
-    runs_dir = os.path.join(root, "runs")
-    if not os.path.isdir(runs_dir):
-        return out
-    for run_id in sorted(os.listdir(runs_dir)):
-        hp = os.path.join(runs_dir, run_id, "header")
-        if os.path.exists(hp):
-            with open(hp, "rb") as f:
-                out.append(json.loads(f.read()))
-    return out
+def _shared(root: str) -> DirTier:
+    """The index's shared storage, opened where the reader runs."""
+    return DirTier("shared", root, IOStats(), SHARED_LATENCY)
 
 
 class UmziDataSource(DataSource):
@@ -84,17 +68,11 @@ class UmziDataSource(DataSource):
         return "umzi"
 
     def schema(self) -> StructType:
-        headers = _list_headers(self.options["path"])
+        keep = plan_runs(_shared(self.options["path"])).keep
+        headers = keep[GROOMED] + keep[POSTGROOMED]
         if not headers:
             raise ValueError(f"no index runs under {self.options['path']!r}")
-        spec = IndexSpec.from_json(headers[0]["spec"])
-        cols = (
-            list(spec.eq_cols)
-            + list(spec.sort_cols)
-            + ["begin_ts", "rid_zone", "rid_block", "rid_off"]
-            + list(spec.include_cols)
-            + ["_run_rank"]
-        )
+        cols = IndexSpec.from_json(headers[0]["spec"]).result_cols + ("_run_rank",)
         return StructType([StructField(c, LongType(), False) for c in cols])
 
     def reader(self, schema: StructType) -> "UmziReader":
@@ -135,30 +113,16 @@ class UmziReader(DataSourceReader):
 
     # ------------------------------------------------------------ partitions
     def partitions(self):
-        headers = _list_headers(self.root)
-        covered = -1
-        if _exists(self.root, _STATE_KEY):
-            covered = json.loads(_read_file(self.root, _STATE_KEY))[
-                "pg_covered_gbid"
-            ]
-        # §5.4 visibility: ignore groomed runs fully covered by the PG list;
-        # §5.5 ordering: within a zone, newest (highest end-gbid) first.
-        visible = [
-            h
-            for h in headers
-            if not (h["zone"] == GROOMED and h["gbid_hi"] <= covered)
-        ]
-        visible.sort(
-            key=lambda h: (h["zone"] != GROOMED, -h["gbid_hi"], -(h["gbid_hi"] - h["gbid_lo"]))
-        )
+        plan = plan_runs(_shared(self.root))
+        covered = plan.state["pg_covered_gbid"]
+        # §5.4 visibility: ignore groomed runs fully covered by the PG list.
+        visible = [h for h in plan.keep[GROOMED] if h["gbid_hi"] > covered]
         parts = []
-        rank = 0
-        for h in visible:
+        for h in visible + plan.keep[POSTGROOMED]:
             if not self._synopsis_admits(h):
                 self.skipped_runs += 1
                 continue
-            parts.append(_RunPartition(header=h, rank=rank, eq_values=dict(self.eq_filters)))
-            rank += 1
+            parts.append(_RunPartition(header=h, rank=len(parts), eq_values=dict(self.eq_filters)))
         return parts
 
     def _synopsis_admits(self, header: dict) -> bool:
@@ -179,15 +143,8 @@ class UmziReader(DataSourceReader):
 
     # ------------------------------------------------------------------ read
     def read(self, partition: _RunPartition):
-        header = partition.header
-        spec = IndexSpec.from_json(header["spec"])
-        run_id = header["run_id"]
-        blocks = [
-            _read_file(self.root, f"runs/{run_id}/block.{i:05d}")
-            for i in range(header["n_blocks"])
-        ]
-        run = IndexRun.from_header_and_blocks(header, blocks)
-
+        run = read_run(_shared(self.root), partition.header)
+        spec = run.spec
         if spec.eq_cols and all(c in partition.eq_values for c in spec.eq_cols):
             # All equality columns pushed: offset-array + binary search
             # instead of emitting the whole run. Searching at the scan's
@@ -195,19 +152,13 @@ class UmziReader(DataSourceReader):
             eq_vals = tuple(int(partition.eq_values[c]) for c in spec.eq_cols)
             res = run.search(eq_vals, None, None, self.query_ts)
         else:
-            res = run._decode({f: run.cols[f] for f in spec.fields})
+            res = run._decode(run.cols)
         n = len(res["begin_ts"])
         if n == 0:
             return
-        arrays = []
-        names = []
-        for f in self.schema.fieldNames():
-            names.append(f)
-            if f == "_run_rank":
-                arrays.append(pa.array(np.full(n, partition.rank, dtype=np.int64)))
-            else:
-                arrays.append(pa.array(res[f].astype(np.int64)))
-        yield pa.RecordBatch.from_arrays(arrays, names=names)
+        res["_run_rank"] = np.full(n, partition.rank, dtype=np.int64)
+        names = self.schema.fieldNames()
+        yield pa.RecordBatch.from_arrays([pa.array(res[f]) for f in names], names=names)
 
 
 def register(spark) -> None:

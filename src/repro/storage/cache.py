@@ -17,7 +17,6 @@ Responsibilities, mapped to the paper:
 """
 from __future__ import annotations
 
-import json
 import threading
 from dataclasses import dataclass
 
@@ -160,22 +159,6 @@ class CacheManager:
             for i in range(n_blocks):
                 tier.delete(_block_key(run_id, i))
             tier.delete_dir(_run_dir(run_id))
-
-    # ------------------------------------------------------------ recovery IO
-    def list_shared_headers(self) -> list[dict]:
-        """All run headers present on shared storage (recovery, §5.5)."""
-        out = []
-        for key in self.h.shared.list("runs/"):
-            if key.endswith("/header"):
-                out.append(json.loads(self.h.shared.get(key)))
-        return out
-
-    def read_shared_run(self, header: dict) -> IndexRun:
-        blocks = [
-            self.h.shared.get(_block_key(header["run_id"], i))
-            for i in range(header["n_blocks"])
-        ]
-        return IndexRun.from_header_and_blocks(header, blocks)
 
 
 class BlockSource(EntrySource):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.recovery import list_headers, read_run
 from repro.core.run import GROOMED, IndexRun, IndexSpec
 from repro.storage import CacheManager, StorageHierarchy
 from repro.storage.cache import BlockSource, _block_key, _header_key
@@ -123,15 +124,15 @@ def test_list_shared_headers(cm):
     r1, r2 = mkrun(0), mkrun(1)
     cm.write_run(r1, persisted=True, cache_tier="ssd")
     cm.write_run(r2, persisted=True, cache_tier="none")
-    hdrs = cm.list_shared_headers()
+    hdrs = list_headers(cm.h.shared)
     assert {h["run_id"] for h in hdrs} == {r1.run_id, r2.run_id}
 
 
 def test_read_shared_run_roundtrip(cm):
     run = mkrun()
     cm.write_run(run, persisted=True, cache_tier="none")
-    hdr = cm.list_shared_headers()[0]
-    r2 = cm.read_shared_run(hdr)
+    hdr = list_headers(cm.h.shared)[0]
+    r2 = read_run(cm.h.shared, hdr)
     for f in SPEC.fields:
         assert (r2.cols[f] == run.cols[f]).all()
 

@@ -35,6 +35,18 @@ def groomed_run(df, gbid, key_range=None):
     )
 
 
+def pg_run(dfs):
+    """The post-groomed run covering groomed blocks 0..len(dfs)-1."""
+    df = pd.concat(dfs, ignore_index=True)
+    n = len(df)
+    return IndexRun.build(
+        SPEC, zone=POSTGROOMED, level=CFG.pg_min_level, gbid_lo=0, gbid_hi=len(dfs) - 1,
+        eq={"k": df.k.values}, sorts={"s": df.s.values}, begin_ts=df.ts.values,
+        rid_zone=np.ones(n), rid_block=np.zeros(n), rid_off=np.arange(n),
+        includes={"v": df.v.values},
+    )
+
+
 @pytest.fixture
 def populated(tmp_path):
     """Index with groomed + post-groomed runs persisted to shared storage."""
@@ -47,15 +59,7 @@ def populated(tmp_path):
         ix.add_groomed_run(groomed_run(df, gb))
         ix.maintain()
         dfs.append(df)
-    pgdf = pd.concat(dfs[:3], ignore_index=True)
-    n = len(pgdf)
-    pgr = IndexRun.build(
-        SPEC, zone=POSTGROOMED, level=CFG.pg_min_level, gbid_lo=0, gbid_hi=2,
-        eq={"k": pgdf.k.values}, sorts={"s": pgdf.s.values}, begin_ts=pgdf.ts.values,
-        rid_zone=np.ones(n), rid_block=np.zeros(n), rid_off=np.arange(n),
-        includes={"v": pgdf.v.values},
-    )
-    ix.evolve(pgr, psn=1)
+    ix.evolve(pg_run(dfs[:3]), psn=1)
     all_df = pd.concat(dfs, ignore_index=True)
     return hier, ix, all_df
 
@@ -146,6 +150,98 @@ def test_reader_visibility_excludes_covered_runs(populated):
     part_runs = {p.header["run_id"] for p in parts}
     expected = {h.run.run_id for h in ix.query_snapshot().runs}
     assert part_runs == expected
+
+
+def scan_rows(reader):
+    """Plan the partitions and read each one, as the driver and executors
+    would: (partitions, set of emitted versions)."""
+    parts = reader.partitions()
+    rows = set()
+    for p in parts:
+        for batch in reader.read(p):
+            d = batch.to_pydict()
+            rows |= set(zip(d["k"], d["s"], d["begin_ts"], d["v"]))
+    return parts, rows
+
+
+def reader_for(hier):
+    ds = UmziDataSource({"path": hier.shared.root})
+    return ds.reader(ds.schema())
+
+
+def versions(df):
+    return set(zip(df.k.tolist(), df.s.tolist(), df.ts.tolist(), df.v.tolist()))
+
+
+@pytest.mark.parametrize("hook", ["read_state", "list_headers"])
+def test_scan_plan_sees_every_version_across_a_racing_evolve(tmp_path, monkeypatch, hook):
+    """§5.4: an evolve landing while ``partitions()`` plans — after the
+    state read (before the listing) or after the header listing — must
+    not hide a version: the scan returns every version written."""
+    from repro.core import recovery
+
+    hier = StorageHierarchy(str(tmp_path))
+    ix = UmziIndex(SPEC, CFG, CacheManager(hier))
+    dfs = [entries(gb) for gb in range(5)]
+    for gb, df in enumerate(dfs):
+        ix.add_groomed_run(groomed_run(df, gb))
+    reader = reader_for(hier)
+    real, fired = getattr(recovery, hook), []
+
+    def then_evolve(tier):
+        out = real(tier)
+        if not fired:
+            fired.append(True)
+            ix.evolve(pg_run(dfs[:3]), psn=1)
+        return out
+
+    monkeypatch.setattr(recovery, hook, then_evolve)
+    _, rows = scan_rows(reader)
+    assert fired
+    assert rows == versions(pd.concat(dfs, ignore_index=True))
+
+
+def test_scan_leaves_out_half_written_run(populated):
+    """A run whose header is on shared storage but a data block is not (a
+    write in progress, or a crash mid-write) is left out of the plan, and
+    the scan deletes none of its files."""
+    hier, ix, all_df = populated
+    half = groomed_run(entries(9), 9)
+    assert half.n_blocks > 1
+    hier.shared.put(f"runs/{half.run_id}/header", half.header_bytes())
+    hier.shared.put(f"runs/{half.run_id}/block.00000", half.block_bytes(0))
+    parts, rows = scan_rows(reader_for(hier))
+    assert half.run_id not in {p.header["run_id"] for p in parts}
+    assert rows == versions(all_df)
+    assert hier.shared.exists(f"runs/{half.run_id}/header")
+    assert hier.shared.exists(f"runs/{half.run_id}/block.00000")
+
+
+def test_scan_drops_runs_contained_in_a_merged_run(tmp_path):
+    """§5.5: a merged run persisted beside its not-yet-GC'd inputs is the
+    only one scanned — the same runs recovery keeps."""
+    from repro.core.recovery import recover
+
+    hier = StorageHierarchy(str(tmp_path))
+    cm = CacheManager(hier)
+    dfs = [entries(gb) for gb in range(3)]
+    for gb, df in enumerate(dfs):
+        cm.write_run(groomed_run(df, gb), persisted=True, cache_tier="none")
+    df = pd.concat(dfs, ignore_index=True)
+    n = len(df)
+    merged = IndexRun.build(
+        SPEC, zone=GROOMED, level=1, gbid_lo=0, gbid_hi=2,
+        eq={"k": df.k.values}, sorts={"s": df.s.values}, begin_ts=df.ts.values,
+        rid_zone=np.zeros(n), rid_block=np.zeros(n), rid_off=np.arange(n),
+        includes={"v": df.v.values},
+    )
+    cm.write_run(merged, persisted=True, cache_tier="none")
+    parts, rows = scan_rows(reader_for(hier))
+    assert [p.header["run_id"] for p in parts] == [merged.run_id]
+    assert rows == versions(df)
+    hier.crash_node()
+    ix = recover(SPEC, CFG, CacheManager(hier))
+    assert [h.run.run_id for h in ix.query_snapshot().runs] == [merged.run_id]
 
 
 def test_full_scan_baseline_matches_index_view(spark, tmp_path):

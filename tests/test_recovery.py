@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import query as q
 from repro.core.index import UmziConfig, UmziIndex
-from repro.core.recovery import recover
+from repro.core.recovery import list_headers, recover
 from repro.core.run import GROOMED, POSTGROOMED, IndexRun, IndexSpec
 from repro.storage import CacheManager, StorageHierarchy
 from repro.storage.cache import _block_key
@@ -121,6 +121,20 @@ def test_recover_drops_already_merged_overlapping_runs(tmp_path):
     assert_queries_match(ix2, df)
 
 
+def test_recover_deletes_every_file_of_dropped_runs(tmp_path):
+    """The data blocks of a run recovery drops go with its header: nothing
+    would ever list them again once the header is gone."""
+    hier, cm, ix, df = make_populated(tmp_path, evolve_upto=None, n_groomed=4)
+    dropped = [groomed_run(entries(gb), gb) for gb in (0, 1)]
+    for r in dropped:
+        cm.write_run(r, persisted=True, cache_tier="none")
+    hier.shared.delete(_block_key(dropped[1].run_id, 0))  # and one incomplete
+    hier.crash_node()
+    recover(SPEC, CFG, CacheManager(hier))
+    for r in dropped:
+        assert not hier.shared.list(f"runs/{r.run_id}/")
+
+
 def test_recover_cleans_incomplete_runs(tmp_path):
     hier, cm, ix, df = make_populated(tmp_path, evolve_upto=None, n_groomed=3)
     # corrupt: a run whose header exists but a data block is missing
@@ -195,5 +209,5 @@ def test_nonpersisted_ancestors_deleted_after_repersist(tmp_path):
     assert any(h.level >= 2 for h in ix2.groomed.snapshot())
     assert all(
         h["gbid_hi"] - h["gbid_lo"] > 0 or h["level"] == 0
-        for h in CacheManager(hier).list_shared_headers()
+        for h in list_headers(hier.shared)
     )

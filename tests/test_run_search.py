@@ -134,7 +134,7 @@ def test_pure_hash_index_point_lookup():
     )
     df = pd.DataFrame({"k": k, "ts": ts})
     for key in range(0, 100, 7):
-        res = run.lookup((key,), None, 10**6)
+        res = run.search((key,), None, None, 10**6)
         sub = df[df.k == key]
         if len(sub) == 0:
             assert len(res["begin_ts"]) == 0
