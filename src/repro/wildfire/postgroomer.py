@@ -17,10 +17,16 @@ The **indexer** is a separate loosely-coupled process (here: object) that
 polls MaxPSN and, while ``IndexedPSN < MaxPSN``, performs one index
 evolve operation per PSN in order (Fig. 5).
 
+The batch travels as plain numpy columns: the groomed blocks' columns are
+concatenated, sorted once by primary key + beginTS to resolve versions,
+and once by partition key + beginTS to write the block; the indexer reads
+back only the index's columns of that block to build the post-groomed run.
+
 The re-organization (step 3) has two interchangeable engines: a Spark
 DataFrame job (``spark=`` given — repartition/sort by partition key, the
-genuinely Spark-shaped bulk path) and a pandas fast path with identical
-semantics for per-cycle unit tests; a test asserts block-level equality.
+genuinely Spark-shaped bulk path; pandas only at its ``createDataFrame``
+boundary) and the numpy path, with identical semantics; a test asserts
+the two write identical blocks.
 """
 from __future__ import annotations
 
@@ -40,10 +46,18 @@ from repro.storage.tiers import StorageHierarchy
 from repro.wildfire.records import (
     EndTsStore,
     TableSchema,
-    from_parquet_bytes,
+    read_columns,
     to_parquet_bytes,
 )
 from repro.wildfire.groomer import groomed_block_key
+
+
+# Each prevRID column and the RID column it takes its value from.
+_PREV_RID = (
+    ("prev_rid_zone", "rid_zone"),
+    ("prev_rid_block", "rid_block"),
+    ("prev_rid_off", "rid_off"),
+)
 
 
 def pg_block_key(table: str, psn: int) -> str:
@@ -93,37 +107,54 @@ class PostGroomer:
     # ------------------------------------------------------------ post-groom
     def post_groom(self, upto_gbid: int, spark=None) -> int | None:
         """One post-groom operation over groomed blocks
-        (last_pg_gbid, upto_gbid]; returns the new PSN (None if empty)."""
+        (last_pg_gbid, upto_gbid]; returns the new PSN (None if no block
+        is pending).
+
+        Raises ``FileNotFoundError``, before anything is published, if a
+        groomed block is in neither the SSD cache nor shared storage.
+        """
         lo, hi = self.last_pg_gbid + 1, upto_gbid
-        frames = []
-        for gbid in range(lo, hi + 1):
-            key = groomed_block_key(self.schema.name, gbid)
-            if self.h.ssd.exists(key):  # cached copy preferred
-                frames.append(from_parquet_bytes(self.h.ssd.get(key)))
-            elif self.h.shared.exists(key):
-                frames.append(from_parquet_bytes(self.h.shared.get(key)))
-        if not frames:
+        if lo > hi:
             return None
-        batch = pd.concat(frames, ignore_index=True)
+        blocks = [
+            read_columns(self._read_groomed(gbid)) for gbid in range(lo, hi + 1)
+        ]
+        # One column at a time, so each block's copy is freed as it is joined.
+        batch = {
+            c: np.concatenate([b.pop(c) for b in blocks]) for c in list(blocks[0])
+        }
+        del blocks
         psn = self.max_psn + 1
 
-        block = self._resolve_versions(batch, psn)
-        block = self._reorganize(block, spark)
-        # Partition-key clustering done; assign the post-groomed RIDs.
-        n = len(block)
-        block = block.reset_index(drop=True)
-        block["rid_zone"] = np.int64(1)
-        block["rid_block"] = np.int64(psn)
-        block["rid_off"] = np.arange(n, dtype=np.int64)
+        self._resolve_versions(batch)
+        if spark is not None:
+            batch = self._spark_cluster(batch, spark)
+        # Cluster by the partition key (+ beginTS), then assign the
+        # post-groomed RIDs in that order.
+        _sort_by(batch, list(self.schema.partition_key) + ["begin_ts"])
+        n = len(batch["begin_ts"])
+        batch["rid_zone"] = np.ones(n, dtype=np.int64)
+        batch["rid_block"] = np.full(n, psn, dtype=np.int64)
+        batch["rid_off"] = np.arange(n, dtype=np.int64)
 
-        self.h.shared.put(pg_block_key(self.schema.name, psn), to_parquet_bytes(block))
+        self.h.shared.put(pg_block_key(self.schema.name, psn), to_parquet_bytes(batch))
         self._publish(psn, lo, hi, n)
         self.max_psn = psn
         self.last_pg_gbid = hi
         return psn
 
-    def _resolve_versions(self, batch: pd.DataFrame, psn: int) -> pd.DataFrame:
-        """Set prevRID chains and endTS (§2.1).
+    def _read_groomed(self, gbid: int) -> bytes:
+        """A groomed block's bytes, from the SSD cache if it holds a copy,
+        else from shared storage."""
+        key = groomed_block_key(self.schema.name, gbid)
+        try:
+            return self.h.ssd.get(key)
+        except FileNotFoundError:
+            return self.h.shared.get(key)
+
+    def _resolve_versions(self, batch: dict[str, np.ndarray]) -> None:
+        """Set prevRID chains and endTS (§2.1), in place; leaves ``batch``
+        ordered by primary key + beginTS.
 
         Inside the batch, versions of one primary key chain to each other
         in beginTS order. The oldest in-batch version of each key chains
@@ -132,95 +163,91 @@ class PostGroomer:
         set (append-only delta) to the new version's beginTS.
         """
         pk = list(self.schema.primary_key)
-        batch = batch.sort_values(pk + ["begin_ts"], kind="stable").reset_index(
-            drop=True
-        )
-        same_key = np.ones(len(batch) - 1, dtype=bool) if len(batch) > 1 else np.zeros(0, bool)
+        _sort_by(batch, pk + ["begin_ts"])
+        same_key = np.ones(len(batch["begin_ts"]) - 1, dtype=bool)
         for c in pk:
-            v = batch[c].to_numpy()
+            v = batch[c]
             same_key &= v[1:] == v[:-1]
         # In-batch chains: row i-1 is the previous version of row i.
-        for zc, src in (
-            ("prev_rid_zone", "rid_zone"),
-            ("prev_rid_block", "rid_block"),
-            ("prev_rid_off", "rid_off"),
-        ):
-            col = batch[zc].to_numpy().copy()
-            col[1:][same_key] = batch[src].to_numpy()[:-1][same_key]
-            batch[zc] = col
-        ets = batch["end_ts"].to_numpy().copy()
-        ets[:-1][same_key] = batch["begin_ts"].to_numpy()[1:][same_key]
-        batch["end_ts"] = ets
+        for dst, src in _PREV_RID:
+            batch[dst][1:][same_key] = batch[src][:-1][same_key]
+        batch["end_ts"][:-1][same_key] = batch["begin_ts"][1:][same_key]
 
-        # Batch-oldest versions: consult the PG index portion for the
-        # previous post-groomed version of each key.
-        oldest_mask = np.ones(len(batch), dtype=bool)
-        oldest_mask[1:] = ~same_key
-        oldest = batch[oldest_mask]
+        # Batch-oldest versions — one per key, in key order: consult the
+        # PG index portion for the previous post-groomed version of each.
+        oldest = np.flatnonzero(np.r_[True, ~same_key])
         spec = self.index.spec
         pg_runs = self.index.postgroomed.snapshot()
-        if len(oldest) and pg_runs:
-            eq_probes = [oldest[c].to_numpy() for c in spec.eq_cols]
-            sort_probes = [oldest[c].to_numpy() for c in spec.sort_cols]
-            prev = q.batch_lookup(
-                self.index, eq_probes, sort_probes, int(2**62), runs=pg_runs
-            )
-            if len(prev["begin_ts"]):
-                kcols = list(spec.eq_cols + spec.sort_cols)
-                prev_df = pd.DataFrame({c: prev[c] for c in kcols + [
-                    "rid_zone", "rid_block", "rid_off", "begin_ts"
-                ]}).rename(
-                    columns={
-                        "rid_zone": "_pz",
-                        "rid_block": "_pb",
-                        "rid_off": "_po",
-                        "begin_ts": "_pts",
-                    }
-                )
-                merged = batch.merge(prev_df, on=kcols, how="left")
-                hit = oldest_mask & merged["_pts"].notna().to_numpy()
-                for dst, srcc in (
-                    ("prev_rid_zone", "_pz"),
-                    ("prev_rid_block", "_pb"),
-                    ("prev_rid_off", "_po"),
-                ):
-                    col = batch[dst].to_numpy().copy()
-                    col[hit] = merged.loc[hit, srcc].to_numpy().astype(np.int64)
-                    batch[dst] = col
-                # endTS of the replaced post-groomed records (delta store).
-                if hit.any():
-                    self.end_ts.set_many(
-                        merged.loc[hit, "_pz"].to_numpy(),
-                        merged.loc[hit, "_pb"].to_numpy(),
-                        merged.loc[hit, "_po"].to_numpy(),
-                        batch.loc[hit, "begin_ts"].to_numpy(),
-                    )
-        return batch
-
-    def _reorganize(self, block: pd.DataFrame, spark) -> pd.DataFrame:
-        """Cluster by the partition key (+ beginTS) — the OLAP-friendly
-        layout. Spark path: DataFrame repartition-by-range + sort."""
-        part = list(self.schema.partition_key)
-        if spark is None:
-            return block.sort_values(part + ["begin_ts"], kind="stable")
-        sdf = spark.createDataFrame(block)
-        out = (
-            sdf.repartitionByRange(4, *part)
-            .sortWithinPartitions(*part, "begin_ts")
+        if not pg_runs:
+            return
+        prev = q.batch_lookup(
+            self.index,
+            [batch[c][oldest] for c in spec.eq_cols],
+            [batch[c][oldest] for c in spec.sort_cols],
+            int(2**62),
+            runs=pg_runs,
         )
+        if not len(prev["begin_ts"]):
+            return
+        hit, found = _join_found(oldest, batch, prev, spec.key_cols)
+        for dst, src in _PREV_RID:
+            batch[dst][hit] = prev[src][found]
+        # endTS of the replaced post-groomed records (delta store).
+        self.end_ts.set_many(
+            prev["rid_zone"][found],
+            prev["rid_block"][found],
+            prev["rid_off"][found],
+            batch["begin_ts"][hit],
+        )
+
+    def _spark_cluster(self, batch: dict[str, np.ndarray], spark) -> dict[str, np.ndarray]:
+        """The Spark engine: DataFrame repartition-by-range on the partition
+        key + sort within partitions. Returns the rows as columns, in the
+        order of the partition files."""
+        part = list(self.schema.partition_key)
+        sdf = spark.createDataFrame(pd.DataFrame(batch))
+        out = sdf.repartitionByRange(4, *part).sortWithinPartitions(*part, "begin_ts")
         staging = tempfile.mkdtemp(prefix="pgstage-")
         try:
             out.write.mode("overwrite").parquet(staging)
-            files = sorted(glob.glob(os.path.join(staging, "part-*.parquet")))
-            pdfs = [pd.read_parquet(f) for f in files]
-            merged = pd.concat(pdfs, ignore_index=True)
-            # Partition files come back range-ordered; restore a total
-            # order identical to the pandas path for block determinism.
-            return merged.sort_values(part + ["begin_ts"], kind="stable")[
-                block.columns
-            ]
+            parts = []
+            for f in sorted(glob.glob(os.path.join(staging, "part-*.parquet"))):
+                with open(f, "rb") as fh:
+                    parts.append(read_columns(fh.read(), columns=list(batch)))
         finally:
             shutil.rmtree(staging, ignore_errors=True)
+        return {c: np.concatenate([p[c] for p in parts]) for c in batch}
+
+
+def _sort_by(batch: dict[str, np.ndarray], cols: list[str]) -> None:
+    """Stable-sort the rows of ``batch`` by ``cols``, in place. Columns are
+    reordered one at a time, so only one exists in both orders at once."""
+    perm = np.lexsort([batch[c] for c in reversed(cols)])
+    for c in batch:
+        batch[c] = batch[c][perm]
+
+
+def _join_found(
+    rows: np.ndarray,
+    batch: dict[str, np.ndarray],
+    found: dict[str, np.ndarray],
+    key_cols: tuple[str, ...],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Match each ``found`` row to the batch row in ``rows`` with its key.
+
+    The keys of ``rows`` are distinct and ``found`` holds a subset of them,
+    each once. One stable sort of both key lists puts every found row right
+    after its batch row. Returns (batch rows, found rows), paired, in
+    batch order.
+    """
+    n = len(rows)
+    is_found = np.r_[np.zeros(n, np.int8), np.ones(len(found["begin_ts"]), np.int8)]
+    keys = [np.concatenate([batch[c][rows], found[c]]) for c in key_cols]
+    order = np.lexsort([is_found] + keys[::-1])
+    at = np.flatnonzero(order >= n)
+    hit, src = rows[order[at - 1]], order[at] - n
+    by_row = np.argsort(hit, kind="stable")
+    return hit[by_row], src[by_row]
 
 
 class Indexer:
@@ -245,29 +272,32 @@ class Indexer:
         meta = self.pg.read_meta()
         while self.index.indexed_psn < meta["max_psn"]:
             psn = self.index.indexed_psn + 1
-            op = meta["ops"][str(psn)]
-            block = from_parquet_bytes(
-                self.h.shared.get(pg_block_key(self.schema.name, psn))
-            )
-            run = self._build_pg_run(block, op)
+            run = self._build_pg_run(psn, meta["ops"][str(psn)])
             self.index.evolve(run, psn=psn)
             self.index.maintain()
             done += 1
         return done
 
-    def _build_pg_run(self, block: pd.DataFrame, op: dict) -> IndexRun:
+    def _build_pg_run(self, psn: int, op: dict) -> IndexRun:
+        """The PSN's post-groomed run, built from the index's columns of
+        its block on shared storage."""
         spec = self.index.spec
+        block = read_columns(
+            self.h.shared.get(pg_block_key(self.schema.name, psn)),
+            columns=list(spec.key_cols + spec.include_cols)
+            + ["begin_ts", "rid_zone", "rid_block", "rid_off"],
+        )
         return IndexRun.build(
             spec,
             zone=POSTGROOMED,
             level=self.index.config.pg_min_level,
             gbid_lo=op["gbid_lo"],
             gbid_hi=op["gbid_hi"],
-            eq={c: block[c].to_numpy() for c in spec.eq_cols},
-            sorts={c: block[c].to_numpy() for c in spec.sort_cols},
-            begin_ts=block["begin_ts"].to_numpy(),
-            rid_zone=block["rid_zone"].to_numpy(),
-            rid_block=block["rid_block"].to_numpy(),
-            rid_off=block["rid_off"].to_numpy(),
-            includes={c: block[c].to_numpy() for c in spec.include_cols},
+            eq={c: block[c] for c in spec.eq_cols},
+            sorts={c: block[c] for c in spec.sort_cols},
+            begin_ts=block["begin_ts"],
+            rid_zone=block["rid_zone"],
+            rid_block=block["rid_block"],
+            rid_off=block["rid_off"],
+            includes={c: block[c] for c in spec.include_cols},
         )

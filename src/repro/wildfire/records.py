@@ -17,7 +17,7 @@ an append-only store must use.
 from __future__ import annotations
 
 import io
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,8 +69,20 @@ def to_parquet_bytes(columns: Mapping[str, ArrayLike]) -> bytes:
     return buf.getvalue()
 
 
+def read_columns(
+    data: bytes, columns: Sequence[str] | None = None
+) -> dict[str, np.ndarray]:
+    """Decode a Parquet block into named numpy columns, in file order, or
+    only ``columns``, in that order. Arrays may be read-only views of the
+    decoded Arrow buffers.
+    """
+    table = pq.ParquetFile(pa.BufferReader(data)).read(columns=columns)
+    return {c: table.column(c).to_numpy() for c in table.column_names}
+
+
 def from_parquet_bytes(data: bytes) -> pd.DataFrame:
-    return pq.read_table(io.BytesIO(data)).to_pandas()
+    """A Parquet block as a DataFrame."""
+    return pd.DataFrame(read_columns(data))
 
 
 def _ints(col) -> list[int]:

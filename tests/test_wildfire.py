@@ -206,18 +206,21 @@ class TestPostGroomAndEvolve:
         # updates=True: every key ingested 3x per pg window → chains exist
         chained = blk[blk["prev_rid_zone"] >= 0]
         assert len(chained) > 0
-        # a chained record's prevRID points at an older version of the key
-        rid_map = {
-            (int(r.rid_zone), int(r.rid_block), int(r.rid_off)): r
-            for r in blk.itertuples()
-        }
-        for r in chained.itertuples():
-            prev = rid_map.get(
-                (int(r.prev_rid_zone), int(r.prev_rid_block), int(r.prev_rid_off))
-            )
-            if prev is not None:  # in-batch chain
-                assert (prev.c1, prev.c2) == (r.c1, r.c2)
-                assert prev.begin_ts < r.begin_ts
+        # An in-batch prevRID is the groomed-zone RID of the key's older
+        # version: (zone 0, groomed block ID, offset in that block).
+        groomed = {}
+        checked = 0
+        for r in chained[chained["prev_rid_zone"] == 0].itertuples():
+            gbid = int(r.prev_rid_block)
+            if gbid not in groomed:
+                groomed[gbid] = from_parquet_bytes(
+                    hier.shared.get(groomed_block_key("iot", gbid))
+                )
+            prev = groomed[gbid].iloc[int(r.prev_rid_off)]
+            assert (prev.c1, prev.c2) == (r.c1, r.c2)
+            assert prev.begin_ts < r.begin_ts
+            checked += 1
+        assert checked > 0
 
     def test_cross_psn_prev_rid_via_pg_index(self, stack):
         hier, ix, shard, groomer, pg, indexer = self._run_cycles(stack)
@@ -275,6 +278,78 @@ class TestPostGroomAndEvolve:
     def test_post_groom_nothing_pending(self, stack):
         hier, ix, shard, groomer, pg, indexer = stack
         assert pg.post_groom(upto_gbid=-1) is None
+
+    def test_missing_groomed_block_raises_before_publish(self, stack):
+        """A groomed block in neither the SSD cache nor shared storage
+        fails the post-groom; nothing is published, so the evolve keeps
+        that block's groomed run and no row is lost."""
+        hier, ix, shard, groomer, pg, indexer = stack
+        keys = np.arange(60, dtype=np.int64)
+        for cyc in range(3):
+            shard.ingest(batch(keys[cyc * 20:(cyc + 1) * 20], seed=cyc))
+            groomer.groom()
+        key = groomed_block_key("iot", 1)
+        hier.ssd.delete(key)
+        hier.shared.delete(key)
+        with pytest.raises(FileNotFoundError):
+            pg.post_groom(upto_gbid=groomer.next_gbid - 1)
+        assert pg.read_meta()["max_psn"] == 0
+        assert pg.last_pg_gbid == -1
+        assert indexer.poll() == 0
+        assert ix.pg_covered_gbid == -1
+        eq, sorts = defs.key_columns("I1", keys)
+        got = q.batch_lookup(ix, [eq["c1"]], [sorts["c2"]], 2**62)
+        assert len(got["begin_ts"]) == 60
+
+    def test_version_resolution_matches_oracle(self, stack):
+        """4 PSNs over keys that recur within and across PSNs. Each
+        post-groomed row's prevRID resolves — through the groomed block
+        (zone 0) or the post-groomed block (zone 1) — to the same key's
+        previous version, and its endTS (after the delta store) is the
+        next version's beginTS, or open if there is none."""
+        hier, ix, shard, groomer, pg, indexer = stack
+        g = np.random.default_rng(7)
+        for cyc in range(8):
+            shard.ingest(batch(g.integers(0, 40, 25), seed=cyc))
+            groomer.groom()
+            if cyc % 2 == 1:
+                pg.post_groom(upto_gbid=groomer.next_gbid - 1)
+                indexer.poll()
+        assert pg.max_psn == 4
+
+        def read(key):
+            return from_parquet_bytes(hier.shared.get(key))
+
+        pgb = {psn: read(pg_block_key("iot", psn)) for psn in range(1, 5)}
+        blocks = {(1, psn): b for psn, b in pgb.items()}
+        blocks.update({(0, gbid): read(groomed_block_key("iot", gbid))
+                       for gbid in range(groomer.next_gbid)})
+        assert sum(len(b) for b in pgb.values()) == 8 * 25
+
+        for psn, blk in pgb.items():
+            n = len(blk)
+            assert (blk["rid_off"] == np.arange(n)).all()
+            assert (blk["rid_zone"] == 1).all() and (blk["rid_block"] == psn).all()
+            order = np.lexsort([blk["begin_ts"], blk["c2"]])
+            assert (order == np.arange(n)).all()  # clustered by (c2, begin_ts)
+
+        rows = pd.concat(
+            [pg.end_ts.apply(b) for b in pgb.values()], ignore_index=True
+        ).sort_values(["c1", "c2", "begin_ts"], ignore_index=True)
+        checked = 0
+        for _, versions in rows.groupby(["c1", "c2"], sort=False):
+            ts = versions["begin_ts"].tolist()
+            for i, r in enumerate(versions.itertuples()):
+                if i == 0:
+                    assert (r.prev_rid_zone, r.prev_rid_block, r.prev_rid_off) == (-1, -1, -1)
+                else:
+                    prev = blocks[(r.prev_rid_zone, r.prev_rid_block)].iloc[r.prev_rid_off]
+                    assert (prev.c1, prev.c2, prev.begin_ts) == (r.c1, r.c2, ts[i - 1])
+                    checked += 1
+                assert r.end_ts == (ts[i + 1] if i + 1 < len(ts) else OPEN_END_TS)
+        assert checked > 0
+        # Both kinds of chain occur: in-batch and across PSNs.
+        assert set(rows.loc[rows["prev_rid_zone"] >= 0, "prev_rid_zone"]) == {0, 1}
 
 
 class TestEndTsStore:
