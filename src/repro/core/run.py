@@ -11,7 +11,10 @@ range this run covers, a per-key-column min/max **synopsis**, and a
 All ordering columns are kept in order-preserving uint64 encodings
 (:mod:`repro.core.encoding`), so an ascending ``np.lexsort`` produces
 exactly the paper's order — hash, equality columns, sort columns, and
-*descending* beginTS (the timestamp is stored complemented).
+*descending* beginTS (the timestamp is stored complemented). The RID —
+zone + block ID + offset (footnote 2) — is one packed uint64 field: zone
+in bit 63, block ID in 39 bits, offset in the low 24 bits, so an entry
+with no included column takes ``(key columns + 3) × 8`` bytes.
 
 Single-run search narrows the candidate range with the offset array
 (most-significant ``hash_bits`` of the probe hash), then searches the
@@ -39,6 +42,41 @@ POSTGROOMED = "postgroomed"
 
 # RID zone codes (paper footnote 2: an RID = zone + block ID + offset).
 ZONE_CODES = {GROOMED: 0, POSTGROOMED: 1}
+
+# An entry's RID is one uint64 field ``r``: the zone in bit 63, the block
+# ID in the 39 bits below it and the record offset in the low 24 bits.
+RID_BLOCK_BITS = 39
+RID_OFF_BITS = 24
+_RID_NAMES = ("rid_zone", "rid_block", "rid_off")
+# Per part, as a column: its shift within ``r`` and its largest value,
+# which is also its mask once shifted down.
+_RID_SHIFT = np.array([[RID_BLOCK_BITS + RID_OFF_BITS], [RID_OFF_BITS], [0]], np.uint64)
+_RID_MASK = np.array([[1], [(1 << RID_BLOCK_BITS) - 1], [(1 << RID_OFF_BITS) - 1]], np.uint64)
+
+
+def pack_rid(rid_zone, rid_block, rid_off) -> np.ndarray:
+    """Three RID part columns → one packed uint64 column.
+
+    Raises ``OverflowError`` if a part is outside its bit range. One part
+    at a time, so a build holds no more than two extra columns at once.
+    """
+    r = None
+    for name, top, shift, part in zip(
+        _RID_NAMES, _RID_MASK[:, 0], _RID_SHIFT[:, 0], (rid_zone, rid_block, rid_off)
+    ):
+        # A negative part turns into a value above ``top`` in the view.
+        a = np.asarray(part, dtype=np.int64).view(np.uint64)
+        if (a > top).any():
+            raise OverflowError(f"{name} outside [0, {top}]")
+        a = a << shift
+        r = a if r is None else r | a
+    return r
+
+
+def unpack_rid(r: np.ndarray) -> np.ndarray:
+    """A packed uint64 RID column → a ``(3, n)`` int64 matrix whose rows
+    are its zone, block and offset columns."""
+    return ((r >> _RID_SHIFT) & _RID_MASK).view(np.int64)
 
 
 @dataclass(frozen=True)
@@ -72,18 +110,21 @@ class IndexSpec:
 
     @cached_property  # read on every search; the spec is immutable
     def fields(self) -> tuple[str, ...]:
-        """Physical column order inside a data block (all uint64)."""
+        """Physical column order inside a data block (all uint64): hash,
+        key columns, inverted beginTS, the packed RID ``r``, included
+        columns."""
         return (
             ("h",)
             + tuple(f"k{i}" for i in range(len(self.eq_cols)))
             + tuple(f"s{i}" for i in range(len(self.sort_cols)))
-            + ("t", "z", "b", "o")
+            + ("t", "r")
             + tuple(f"i{i}" for i in range(len(self.include_cols)))
         )
 
     @cached_property
     def result_cols(self) -> tuple[str, ...]:
-        """Named columns of a search result, in ``fields[1:]`` order."""
+        """Named columns of a search result, in ``fields[1:]`` order, with
+        ``r`` unpacked into its three parts."""
         return (
             self.eq_cols
             + self.sort_cols
@@ -96,11 +137,11 @@ class IndexSpec:
         """Per field after the hash, the XOR that turns its stored uint64
         into the int64 value: the sign flip for key and included columns,
         the sign flip and complement for the inverted beginTS, and nothing
-        for the RID parts."""
+        for the packed RID."""
         sign = 1 << 63
         masks = (
             [sign] * len(self.key_cols)
-            + [sign ^ _U64_MAX, 0, 0, 0]
+            + [sign ^ _U64_MAX, 0]
             + [sign] * len(self.include_cols)
         )
         xor = np.asarray(masks, dtype=np.uint64)[:, None]
@@ -301,7 +342,9 @@ class IndexRun:
         """Build a run from unsorted raw int64 entry columns (paper §5.2).
 
         Scans the entries, sorts them in the paper's order, and computes
-        the offset array and the synopsis on the fly.
+        the offset array and the synopsis on the fly. The three RID parts
+        are packed into one field (see :func:`pack_rid`); a part outside
+        its bit range raises ``OverflowError``.
         """
         eq = eq or {}
         sorts = sorts or {}
@@ -320,9 +363,7 @@ class IndexRun:
         for i, a in enumerate(sort_arrays):
             cols[f"s{i}"] = enc.to_ordered_u64(a)
         cols["t"] = enc.invert_ts(enc.to_ordered_u64(np.asarray(begin_ts, np.int64)))
-        cols["z"] = np.asarray(rid_zone, dtype=np.uint64)
-        cols["b"] = np.asarray(rid_block, dtype=np.uint64)
-        cols["o"] = np.asarray(rid_off, dtype=np.uint64)
+        cols["r"] = pack_rid(rid_zone, rid_block, rid_off)
         for i, c in enumerate(spec.include_cols):
             cols[f"i{i}"] = enc.to_ordered_u64(np.asarray(includes[c], np.int64))
 
@@ -392,7 +433,7 @@ class IndexRun:
         if n:
             dup = np.ones(n, dtype=bool)
             same = np.ones(n - 1, dtype=bool)
-            for f in spec.order_fields + ("z", "b", "o"):
+            for f in spec.order_fields + ("r",):
                 same &= cols[f][1:] == cols[f][:-1]
             dup[1:] = ~same
             if not dup.all():
@@ -531,12 +572,16 @@ class IndexRun:
     def _decode(self, sub: dict[str, np.ndarray], rows=None) -> dict[str, np.ndarray]:
         """Encoded internal fields (all but the hash), at positions ``rows``
         if given → user-facing named int64 columns: one stack, one gather
-        and one XOR, giving the columns as the rows of one int64 matrix."""
+        and one XOR, giving the columns as the rows of one int64 matrix;
+        the packed RID row is then split into its three parts."""
         spec = self.spec
         mat = np.array([sub[f] for f in spec.fields[1:]], dtype=np.uint64)
         if rows is not None:
             mat = np.take(mat, rows, axis=1)
-        return dict(zip(spec.result_cols, (mat ^ spec.decode_xor).view(np.int64)))
+        out = list((mat ^ spec.decode_xor).view(np.int64))
+        r = len(spec.key_cols) + 1  # the row of "r", after key columns and ts
+        out[r : r + 1] = unpack_rid(mat[r])
+        return dict(zip(spec.result_cols, out))
 
     # ------------------------------------------------------------ persistence
     @property

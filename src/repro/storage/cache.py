@@ -165,13 +165,14 @@ class BlockSource(EntrySource):
     """Query-side entry source reading data blocks through the cache.
 
     Each touched block is read once through :meth:`CacheManager.read_block`,
-    decoded, and copied into one slot of a single
-    ``(slots, len(spec.fields), block_rows)`` buffer; ``_slot`` maps a block
-    id to its slot. A gather is then one fancy index per field, whichever
-    blocks its positions fall in. The buffer doubles as blocks arrive, up to
-    the run's block count, so a query pays only for the blocks it touches.
-    It lives only as long as this source (one query), matching §7: "after
-    the query is finished, the cached data blocks are released".
+    decoded, and copied into its slot of one
+    ``(n_blocks, len(spec.fields), block_rows)`` buffer, allocated once
+    with ``np.empty``. A gather is then one fancy index per field, whichever
+    blocks its positions fall in. Pages no block is copied into are never
+    written, so the OS need not back them: a query's memory grows with the
+    blocks it touches, not with the run. The buffer lives only as long as
+    this source (one query), matching §7: "after the query is finished, the
+    cached data blocks are released".
     """
 
     def __init__(self, cache: CacheManager, run: IndexRun):
@@ -179,27 +180,18 @@ class BlockSource(EntrySource):
         self.cache = cache
         self.run_id = run.run_id
         self._col = {f: i for i, f in enumerate(run.spec.fields)}
-        self._slot = np.zeros(run.n_blocks, np.int64)
-        self._buf = np.empty((0, len(run.spec.fields), run.spec.block_rows), np.uint64)
-        self._used = 0
+        self._buf = np.empty(
+            (run.n_blocks, len(run.spec.fields), run.spec.block_rows), np.uint64
+        )
 
     def _load(self, blocks: np.ndarray) -> None:
-        used, need = self._used, self._used + len(blocks)
-        if need > len(self._buf):
-            slots = min(len(self._slot), max(need, 2 * len(self._buf)))
-            grown = np.empty((slots,) + self._buf.shape[1:], np.uint64)
-            grown[:used] = self._buf[:used]
-            self._buf = grown
         br = self.spec.block_rows
         for bi in blocks.tolist():
             rows = min(br, self.n_entries - bi * br)
-            self._buf[used, :, :rows] = IndexRun.decode_block(
+            self._buf[bi, :, :rows] = IndexRun.decode_block(
                 self.spec, self.cache.read_block(self.run_id, bi), rows
             )
-            self._slot[bi] = used
-            used += 1
-        self._used = used
 
     def _gather(self, fields, positions, blocks):
-        slot, offs = self._slot[blocks], positions - blocks * self.spec.block_rows
-        return {f: self._buf[slot, self._col[f], offs] for f in fields}
+        offs = positions - blocks * self.spec.block_rows
+        return {f: self._buf[blocks, self._col[f], offs] for f in fields}

@@ -13,6 +13,11 @@ here):
 4. publishes the operation's metadata under a fresh **PSN** and bumps
    MaxPSN.
 
+The endTS deltas of step 2 go to an append-only sidecar beside the PSN's
+block, written before the publish. A restarted post-groomer resumes from
+the published PSN metadata: it reloads the sidecars of published PSNs in
+order and deletes the files of a PSN that was written but never published.
+
 The **indexer** is a separate loosely-coupled process (here: object) that
 polls MaxPSN and, while ``IndexedPSN < MaxPSN``, performs one index
 evolve operation per PSN in order (Fig. 5).
@@ -60,8 +65,18 @@ _PREV_RID = (
 )
 
 
+# The columns of an endTS-delta sidecar.
+_END_TS_DELTA = ("rid_zone", "rid_block", "rid_off", "end_ts")
+
+
 def pg_block_key(table: str, psn: int) -> str:
     return f"tables/{table}/postgroomed/{psn:06d}.parquet"
+
+
+def pg_end_ts_key(table: str, psn: int) -> str:
+    """The endTS-delta sidecar of post-groom ``psn`` (the replaced
+    post-groomed records' RIDs and their new endTS)."""
+    return f"tables/{table}/postgroomed/{psn:06d}.end_ts.parquet"
 
 
 def psn_meta_key(table: str) -> str:
@@ -83,8 +98,24 @@ class PostGroomer:
         self.index = index  # used read-only: PG-portion lookups (§2.1)
         self.h = hierarchy
         self.end_ts = end_ts_store or EndTsStore()
-        self.max_psn = 0
-        self.last_pg_gbid = -1
+        self._resume()
+
+    def _resume(self) -> None:
+        """Pick up where the published PSN metadata left off: MaxPSN, the
+        last post-groomed gbid and every published PSN's endTS deltas, in
+        PSN order. A crash between writing PSN MaxPSN + 1's files and
+        publishing it leaves them behind; they are deleted."""
+        meta = self.read_meta()
+        self.max_psn = meta["max_psn"]
+        self.last_pg_gbid = (
+            meta["ops"][str(self.max_psn)]["gbid_hi"] if self.max_psn else -1
+        )
+        name, unpublished = self.schema.name, self.max_psn + 1
+        for key in (pg_block_key(name, unpublished), pg_end_ts_key(name, unpublished)):
+            self.h.shared.delete(key)
+        for psn in range(1, self.max_psn + 1):
+            d = read_columns(self.h.shared.get(pg_end_ts_key(name, psn)))
+            self.end_ts.set_many(*(d[c] for c in _END_TS_DELTA))
 
     # ----------------------------------------------------------------- meta
     def _publish(self, psn: int, gbid_lo: int, gbid_hi: int, n_rows: int) -> None:
@@ -126,7 +157,7 @@ class PostGroomer:
         del blocks
         psn = self.max_psn + 1
 
-        self._resolve_versions(batch)
+        deltas = self._resolve_versions(batch)
         if spark is not None:
             batch = self._spark_cluster(batch, spark)
         # Cluster by the partition key (+ beginTS), then assign the
@@ -138,7 +169,9 @@ class PostGroomer:
         batch["rid_off"] = np.arange(n, dtype=np.int64)
 
         self.h.shared.put(pg_block_key(self.schema.name, psn), to_parquet_bytes(batch))
+        self.h.shared.put(pg_end_ts_key(self.schema.name, psn), to_parquet_bytes(deltas))
         self._publish(psn, lo, hi, n)
+        self.end_ts.set_many(*(deltas[c] for c in _END_TS_DELTA))
         self.max_psn = psn
         self.last_pg_gbid = hi
         return psn
@@ -152,15 +185,16 @@ class PostGroomer:
         except FileNotFoundError:
             return self.h.shared.get(key)
 
-    def _resolve_versions(self, batch: dict[str, np.ndarray]) -> None:
+    def _resolve_versions(self, batch: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         """Set prevRID chains and endTS (§2.1), in place; leaves ``batch``
         ordered by primary key + beginTS.
 
         Inside the batch, versions of one primary key chain to each other
         in beginTS order. The oldest in-batch version of each key chains
         to the latest already-post-groomed version, found via the
-        **post-groomed portion** of the index; that old record's endTS is
-        set (append-only delta) to the new version's beginTS.
+        **post-groomed portion** of the index; that old record's endTS
+        becomes the new version's beginTS. Returns those endTS deltas as
+        the columns ``rid_zone``, ``rid_block``, ``rid_off``, ``end_ts``.
         """
         pk = list(self.schema.primary_key)
         _sort_by(batch, pk + ["begin_ts"])
@@ -178,8 +212,9 @@ class PostGroomer:
         oldest = np.flatnonzero(np.r_[True, ~same_key])
         spec = self.index.spec
         pg_runs = self.index.postgroomed.snapshot()
+        none = np.empty(0, np.int64)
         if not pg_runs:
-            return
+            return dict.fromkeys(_END_TS_DELTA, none)
         prev = q.batch_lookup(
             self.index,
             [batch[c][oldest] for c in spec.eq_cols],
@@ -188,17 +223,17 @@ class PostGroomer:
             runs=pg_runs,
         )
         if not len(prev["begin_ts"]):
-            return
+            return dict.fromkeys(_END_TS_DELTA, none)
         hit, found = _join_found(oldest, batch, prev, spec.key_cols)
         for dst, src in _PREV_RID:
             batch[dst][hit] = prev[src][found]
         # endTS of the replaced post-groomed records (delta store).
-        self.end_ts.set_many(
-            prev["rid_zone"][found],
-            prev["rid_block"][found],
-            prev["rid_off"][found],
-            batch["begin_ts"][hit],
-        )
+        return {
+            "rid_zone": prev["rid_zone"][found],
+            "rid_block": prev["rid_block"][found],
+            "rid_off": prev["rid_off"][found],
+            "end_ts": batch["begin_ts"][hit],
+        }
 
     def _spark_cluster(self, batch: dict[str, np.ndarray], spark) -> dict[str, np.ndarray]:
         """The Spark engine: DataFrame repartition-by-range on the partition

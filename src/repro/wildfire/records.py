@@ -7,12 +7,16 @@ post-groomed) and ``prevRID`` (the RID of the previous version).
 
 An RID is (zone, block ID, record offset) — footnote 2 of the paper —
 and *changes* when a record evolves between zones, which is exactly why
-Umzi needs the evolve operation.
+Umzi needs the evolve operation. Blocks and index results carry it as
+three int64 columns (``rid_zone``, ``rid_block``, ``rid_off``); an index
+entry stores it as one packed uint64 field — zone in bit 63, block ID in
+39 bits, offset in the low 24 bits (:func:`repro.core.run.pack_rid`).
 
 ``endTS`` substitution note (DESIGN.md §2): shared storage forbids
 in-place updates, so endTS/prevRID "updates" to already-written blocks
 are append-only sidecar deltas that readers merge — the same mechanism
-an append-only store must use.
+an append-only store must use. Each post-groom writes its deltas as one
+sidecar beside its block; :class:`EndTsStore` is their merged view.
 """
 from __future__ import annotations
 

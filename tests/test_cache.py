@@ -1,5 +1,7 @@
 """Cache manager — paper §6.2 (purge/load, write-through, miss path) and
 §6.1 (non-persisted-run constraints)."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -192,8 +194,8 @@ def test_read_block_survives_purge_mid_read(cm, monkeypatch):
 
 def test_block_source_slot_buffer_grows_to_run_block_count(cm):
     """Random takes over a run with a partial last block: the slot buffer
-    grows as blocks arrive, never beyond the run's block count, and each
-    block is read from its tier once per source."""
+    holds one slot per block of the run, and each block is read from its
+    tier once per source."""
     run = mkrun(n=50)  # 7 blocks of 8 rows, the last holding 2
     cm.write_run(run, persisted=True, cache_tier="ssd")
     src = BlockSource(cm, run)
@@ -213,3 +215,33 @@ def test_block_source_slot_buffer_grows_to_run_block_count(cm):
         assert (got[f] == run.cols[f]).all()
     assert cm.h.stats.snapshot()["reads"]["ssd"] == run.n_blocks
     assert len(src._buf) == run.n_blocks
+
+
+def test_block_source_buffer_is_allocated_once(cm):
+    """Takes that touch every block of a 300K-entry run keep one slot
+    buffer: ``_buf`` is the same object after every load, and the traced
+    peak stays within 1.1x the run's block data."""
+    spec = IndexSpec(eq_cols=("k",), sort_cols=("s",), include_cols=("v",), block_rows=4096)
+    n = 300_000
+    g = np.random.default_rng(0)
+    run = IndexRun.build(
+        spec, zone=GROOMED, level=0, gbid_lo=0, gbid_hi=0,
+        eq={"k": g.integers(0, 1 << 40, n)}, sorts={"s": g.integers(0, 1 << 40, n)},
+        begin_ts=np.arange(n), rid_zone=np.zeros(n), rid_block=np.zeros(n),
+        rid_off=np.arange(n), includes={"v": g.integers(0, 1 << 40, n)},
+    )
+    cm.write_run(run, persisted=True, cache_tier="ssd")
+    block_bytes = sum(len(run.block_bytes(i)) for i in range(run.n_blocks))
+    firsts = np.arange(run.n_blocks) * spec.block_rows
+    tracemalloc.start()
+    try:
+        src = BlockSource(cm, run)
+        buf = src._buf
+        for chunk in np.array_split(firsts, 8):
+            src.take(("h",), chunk)
+            assert src._buf is buf
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert src._touched.all()
+    assert peak <= 1.1 * block_bytes

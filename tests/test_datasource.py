@@ -217,6 +217,32 @@ def test_scan_leaves_out_half_written_run(populated):
     assert hier.shared.exists(f"runs/{half.run_id}/block.00000")
 
 
+def test_full_run_read_returns_rid_columns_unchanged(tmp_path):
+    """A partition read without a pushed equality filter decodes the whole
+    run: every entry comes back with its three RID columns as built,
+    extremes of each part included."""
+    hier = StorageHierarchy(str(tmp_path))
+    ix = UmziIndex(SPEC, CFG, CacheManager(hier))
+    df = entries(0)
+    n = len(df)
+    g = np.random.default_rng(1)
+    rid = [g.integers(0, 2, n), g.integers(0, 1 << 39, n), g.integers(0, 1 << 24, n)]
+    for part, top in zip(rid, (1, (1 << 39) - 1, (1 << 24) - 1)):
+        part[:2] = (0, top)
+    ix.add_groomed_run(IndexRun.build(
+        SPEC, zone=GROOMED, level=0, gbid_lo=0, gbid_hi=0,
+        eq={"k": df.k.values}, sorts={"s": df.s.values}, begin_ts=df.ts.values,
+        rid_zone=rid[0], rid_block=rid[1], rid_off=rid[2], includes={"v": df.v.values},
+    ))
+    reader = reader_for(hier)
+    (part,) = reader.partitions()
+    cols = ("k", "s", "begin_ts", "rid_zone", "rid_block", "rid_off", "v")
+    got = []
+    for b in reader.read(part):
+        d = b.to_pydict()
+        got += zip(*(d[c] for c in cols))
+    assert sorted(got) == sorted(zip(df.k, df.s, df.ts, *rid, df.v))
+
 def test_scan_drops_runs_contained_in_a_merged_run(tmp_path):
     """§5.5: a merged run persisted beside its not-yet-GC'd inputs is the
     only one scanned — the same runs recovery keeps."""

@@ -211,3 +211,37 @@ def test_nonpersisted_ancestors_deleted_after_repersist(tmp_path):
         h["gbid_hi"] - h["gbid_lo"] > 0 or h["level"] == 0
         for h in list_headers(hier.shared)
     )
+
+
+def rid_parts(n, seed):
+    """RID parts spanning each part's whole range, extremes included."""
+    g = np.random.default_rng(seed)
+    parts = [g.integers(0, 2, n), g.integers(0, 1 << 39, n), g.integers(0, 1 << 24, n)]
+    for p, top in zip(parts, (1, (1 << 39) - 1, (1 << 24) - 1)):
+        p[:2] = (0, top)
+    return parts
+
+
+def test_recover_returns_rid_columns_unchanged(tmp_path):
+    """The three RID columns of every entry survive persisting, a crash
+    and recovery, whichever values the packed field holds."""
+    hier = StorageHierarchy(str(tmp_path))
+    ix = UmziIndex(SPEC, CFG, CacheManager(hier))
+    df = entries(0, n=200)
+    z, b, o = rid_parts(200, seed=1)
+    run = IndexRun.build(
+        SPEC, zone=GROOMED, level=0, gbid_lo=0, gbid_hi=0,
+        eq={"k": df.k.values}, sorts={"s": df.s.values}, begin_ts=df.ts.values,
+        rid_zone=z, rid_block=b, rid_off=o,
+    )
+    ix.add_groomed_run(run)
+    hier.crash_node()
+    ix2 = recover(SPEC, CFG, CacheManager(hier))
+    (got,) = [h.run for h in ix2.query_snapshot().runs]
+
+    def rows(r):
+        d = r._decode(r.cols)
+        cols = ("k", "s", "begin_ts", "rid_zone", "rid_block", "rid_off")
+        return sorted(zip(*(d[c].tolist() for c in cols)))
+
+    assert rows(got) == rows(run) == sorted(zip(df.k, df.s, df.ts, z, b, o))

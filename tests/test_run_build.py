@@ -3,7 +3,17 @@ import numpy as np
 import pytest
 
 from repro.core import encoding as enc
-from repro.core.run import GROOMED, POSTGROOMED, IndexRun, IndexSpec
+from repro.core.run import (
+    GROOMED,
+    POSTGROOMED,
+    RID_BLOCK_BITS,
+    RID_OFF_BITS,
+    IndexRun,
+    IndexSpec,
+    pack_rid,
+    unpack_rid,
+)
+from repro.experiments import defs
 
 
 def make_entries(n, seed=0, dev_space=30, msg_space=40, ts_space=500):
@@ -230,3 +240,78 @@ def test_build_rejects_mismatched_columns():
             begin_ts=np.zeros(1, np.int64),
             rid_zone=np.zeros(1), rid_block=np.zeros(1), rid_off=np.zeros(1),
         )
+
+
+# ----------------------------------------------------------- packed RID field
+RID_MAX = (1, (1 << RID_BLOCK_BITS) - 1, (1 << RID_OFF_BITS) - 1)
+
+
+def test_rid_round_trips_at_the_extremes():
+    """Every combination of zone 0/1, block 0 / 2³⁹−1 and offset
+    0 / 2²⁴−1 comes back unchanged from a search."""
+    spec = IndexSpec(eq_cols=("device",), include_cols=("val",), hash_bits=4, block_rows=4)
+    parts = np.array(
+        [(z, b, o) for z in (0, 1) for b in (0, RID_MAX[1]) for o in (0, RID_MAX[2])],
+        dtype=np.int64,
+    )
+    n = len(parts)
+    run = IndexRun.build(
+        spec, zone=GROOMED, level=0, gbid_lo=0, gbid_hi=0,
+        eq={"device": np.arange(n, dtype=np.int64)},
+        begin_ts=np.ones(n, np.int64),
+        rid_zone=parts[:, 0], rid_block=parts[:, 1], rid_off=parts[:, 2],
+        includes={"val": -np.arange(n, dtype=np.int64)},
+    )
+    for dev, (z, b, o) in enumerate(parts.tolist()):
+        got = run.search((dev,), None, None, 10)
+        assert [got[c].tolist() for c in ("rid_zone", "rid_block", "rid_off")] == [[z], [b], [o]]
+        assert got["val"].tolist() == [-dev] and got["begin_ts"].tolist() == [1]
+    assert unpack_rid(pack_rid(*parts.T))[1].tolist() == parts[:, 1].tolist()
+
+
+@pytest.mark.parametrize(
+    "part,value",
+    [(0, -1), (1, -1), (2, -1), (0, 2), (1, 1 << RID_BLOCK_BITS), (2, 1 << RID_OFF_BITS)],
+)
+def test_build_rejects_rid_part_out_of_range(part, value):
+    rid = [np.zeros(3, np.int64) for _ in range(3)]
+    rid[part][1] = value
+    with pytest.raises(OverflowError):
+        IndexRun.build(
+            SPECS[0], zone=GROOMED, level=0, gbid_lo=0, gbid_hi=0,
+            eq={"device": np.zeros(3, np.int64)}, sorts={"msg": np.zeros(3, np.int64)},
+            begin_ts=np.zeros(3, np.int64),
+            rid_zone=rid[0], rid_block=rid[1], rid_off=rid[2],
+        )
+
+
+def test_i1_data_block_is_six_fields_of_eight_bytes():
+    """I1 (hash, c1, c2, beginTS, RID, v): 48 bytes per entry."""
+    spec = defs.make_spec("I1", block_rows=100)
+    run = defs.build_run(spec, "I1", np.arange(250, dtype=np.int64), gbid=3)
+    assert spec.fields == ("h", "k0", "s0", "t", "r", "i0")
+    assert [len(run.block_bytes(i)) for i in range(run.n_blocks)] == [
+        6 * 8 * rows for rows in (100, 100, 50)
+    ]
+    assert run.approx_bytes() == 6 * 8 * 250
+
+
+def test_merge_runs_keeps_same_key_and_ts_with_different_rids():
+    """Identical entries collapse; entries equal in key and beginTS but
+    not in RID (any one part) are all kept."""
+    spec = SPECS[0]
+    e = make_entries(100, seed=5)
+    r1 = build(spec, e)
+    variants = [
+        build(spec, e, rid_zone=np.ones(100, np.int64)),
+        build(spec, e, rid_block=np.full(100, 7, np.int64)),
+        build(spec, e, rid_off=np.arange(100, dtype=np.int64) + 1),
+    ]
+    m = IndexRun.merge_runs([r1, build(spec, e)] + variants, level=1)
+    assert m.n_entries == 400
+
+    def rids(run):
+        got = run._decode(run.cols)
+        return zip(*(got[c].tolist() for c in ("rid_zone", "rid_block", "rid_off")))
+
+    assert sorted(rids(m)) == sorted(x for r in [r1] + variants for x in rids(r))

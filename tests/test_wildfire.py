@@ -21,7 +21,7 @@ from repro.wildfire import (
     TableShard,
 )
 from repro.wildfire.groomer import TS_CYCLE_BITS, groomed_block_key
-from repro.wildfire.postgroomer import pg_block_key
+from repro.wildfire.postgroomer import pg_block_key, pg_end_ts_key
 from repro.wildfire.records import OPEN_END_TS, from_parquet_bytes
 
 SCHEMA = TableSchema(
@@ -42,7 +42,11 @@ def batch(keys, seed=0):
 
 @pytest.fixture
 def stack(tmp_path):
-    hier = StorageHierarchy(str(tmp_path))
+    return make_stack(tmp_path)
+
+
+def make_stack(root):
+    hier = StorageHierarchy(str(root))
     cm = CacheManager(hier)
     ix = UmziIndex(defs.make_spec("I1"), UmziConfig(K=3, T=2), cm)
     shard = TableShard(SCHEMA, hier)
@@ -350,6 +354,70 @@ class TestPostGroomAndEvolve:
         assert checked > 0
         # Both kinds of chain occur: in-batch and across PSNs.
         assert set(rows.loc[rows["prev_rid_zone"] >= 0, "prev_rid_zone"]) == {0, 1}
+
+
+    def _restart_after_two_psns(self, stack, tmp_path, before_restart=None):
+        """Run 2 PSNs, call ``before_restart`` (if any) on the stack, then
+        restart the post-groomer and indexer on the same storage and run a
+        third PSN. Returns the restarted post-groomer and a reference
+        post-groomer that ran all 3 PSNs without a restart."""
+        hier, ix, shard, groomer, pg, indexer = self._run_cycles(stack)
+        if before_restart is not None:
+            before_restart(stack)
+        pg2 = PostGroomer(SCHEMA, ix, hier)
+        assert (pg2.max_psn, pg2.last_pg_gbid) == (2, 5)
+        indexer2 = Indexer(SCHEMA, ix, hier, pg2)
+        for cyc in range(6, 9):
+            if groomer.next_gbid <= cyc:
+                shard.ingest(batch(range(20), seed=cyc))
+                groomer.groom()
+        assert pg2.post_groom(upto_gbid=groomer.next_gbid - 1) == 3
+        assert indexer2.poll() == 1
+        ref = self._run_cycles(make_stack(tmp_path / "ref"), n_cycles=9)[4]
+        assert ref.max_psn == 3
+        return hier, pg2, ref
+
+    def _assert_same_end_ts(self, hier, pg, ref):
+        for psn in range(1, 4):
+            raw = hier.shared.get(pg_block_key("iot", psn))
+            blk = from_parquet_bytes(raw)
+            pd.testing.assert_frame_equal(pg.end_ts.apply(blk), ref.end_ts.apply(blk))
+        assert len(pg.end_ts.to_frame()) > 0
+        pd.testing.assert_frame_equal(pg.end_ts.to_frame(), ref.end_ts.to_frame())
+
+    def test_restarted_post_groomer_resumes_at_max_psn(self, stack, tmp_path):
+        """A fresh PostGroomer on the same storage resumes at the published
+        MaxPSN and reloads the published endTS deltas: its third PSN
+        succeeds, and its endTS view equals an uninterrupted one's."""
+        hier, pg2, ref = self._restart_after_two_psns(stack, tmp_path)
+        self._assert_same_end_ts(hier, pg2, ref)
+        assert pg2.last_pg_gbid == ref.last_pg_gbid == 8
+
+    def test_restart_deletes_unpublished_psn_files(
+        self, stack, tmp_path, fail_write, monkeypatch
+    ):
+        """A crash between writing PSN 3's block and sidecar and publishing
+        it leaves both behind; the restarted post-groomer deletes them and
+        writes PSN 3 afresh."""
+
+        def crash_before_publish(stack):
+            hier, ix, shard, groomer, pg, indexer = stack
+            shard.ingest(batch(range(20), seed=6))
+            groomer.groom()
+            fail_write("meta/psn.json")
+            with pytest.raises(OSError, match="injected"):
+                pg.post_groom(upto_gbid=groomer.next_gbid - 1)
+            monkeypatch.undo()
+            assert hier.shared.exists(pg_block_key("iot", 3))
+            assert hier.shared.exists(pg_end_ts_key("iot", 3))
+
+        hier, pg2, ref = self._restart_after_two_psns(
+            stack, tmp_path, crash_before_publish
+        )
+        self._assert_same_end_ts(hier, pg2, ref)
+        ref_hier = StorageHierarchy(str(tmp_path / "ref"))
+        for key in (pg_block_key("iot", 3), pg_end_ts_key("iot", 3)):
+            assert hier.shared.get(key) == ref_hier.shared.get(key)
 
 
 class TestEndTsStore:
