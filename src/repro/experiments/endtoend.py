@@ -1,4 +1,5 @@
-"""Figures 12–15 harness: concurrent ingest + groom + post-groom + query.
+"""Figures 12–15 harness: concurrent ingest + groom + post-groom + query;
+and the unified multi-zone Spark scan demo.
 
 The paper's setup (§8.4): ~100K random records ingested per second,
 groomer every second, post-groomer every 20 s, continuous batches of 1000
@@ -17,7 +18,7 @@ from __future__ import annotations
 import tempfile
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pandas as pd
@@ -30,15 +31,16 @@ from repro.synth_data import iot_update_cycle
 from repro.wildfire import Groomer, Indexer, PostGroomer, TableSchema, TableShard
 
 
-@dataclass
+@dataclass(frozen=True)
 class E2EConfig:
-    """One end-to-end experiment (defaults ≈ the paper's, scaled down)."""
+    """One end-to-end experiment: the paper's §8.4 setup at the scale
+    EXPERIMENTS.md documents (Figs. 13–15; Fig. 12 has its own)."""
 
-    cycles: int = 30
-    per_cycle: int = 5_000
+    cycles: int = 24
+    per_cycle: int = 4_000
     p: float = 0.10  # update rate (Fig. 13 sweeps this)
     readers: int = 1  # concurrent reader threads (Fig. 12 sweeps this)
-    post_groom_every: int = 10  # paper: every 20 grooms
+    post_groom_every: int = 8  # paper: every 20 grooms
     evolve: bool = True  # Fig. 15: False = post-groomer disabled
     purge: str = "none"  # Fig. 14: none | half | all
     lookup_batch: int = 1000
@@ -169,17 +171,20 @@ def run_e2e(cfg: E2EConfig, spark=None) -> E2EResult:
 
 
 # ------------------------------------------------------------- figure drivers
-def fig12(reader_counts=(1, 2, 4, 8, 16), cfg: E2EConfig | None = None) -> dict:
+# Fig. 12 runs up to 16 reader threads per cycle, so it uses a smaller
+# cycle count and batch than Figs. 13–15.
+FIG12_CFG = E2EConfig(cycles=12, per_cycle=3_000, post_groom_every=6, lookup_batch=500)
+
+
+def fig12(reader_counts=(1, 2, 4, 8, 16), cfg: E2EConfig = FIG12_CFG) -> dict:
     """Fig. 12: lookup time vs concurrent readers, normalized to the
     1-reader series' first cycle."""
-    base_cfg = cfg or E2EConfig()
     series = {}
     series_io = {}
     baseline = None
     io_baseline = None
     for r in reader_counts:
-        c = E2EConfig(**{**base_cfg.__dict__, "readers": r})
-        res = run_e2e(c)
+        res = run_e2e(replace(cfg, readers=r))
         series[r] = res.per_cycle_lookup_s
         series_io[r] = res.per_cycle_io_s
         if baseline is None:
@@ -197,53 +202,117 @@ def fig12(reader_counts=(1, 2, 4, 8, 16), cfg: E2EConfig | None = None) -> dict:
     }
 
 
-def fig13(ps=(0.0, 0.2, 0.4, 0.6, 0.8, 1.0), cfg: E2EConfig | None = None) -> dict:
-    """Fig. 13: lookup time vs update rate p%, normalized to p=0 cycle 0."""
-    base_cfg = cfg or E2EConfig()
-    series = {}
-    baseline = None
-    for p in ps:
-        c = E2EConfig(**{**base_cfg.__dict__, "p": p})
-        res = run_e2e(c)
-        series[p] = res.per_cycle_lookup_s
-        if baseline is None:
-            baseline = res.per_cycle_lookup_s[0]
-    return {
-        "series": {p: [v / baseline for v in s] for p, s in series.items()},
-        "baseline_seconds": baseline,
-    }
-
-
-def fig14(modes=("none", "half", "all"), cfg: E2EConfig | None = None) -> dict:
-    """Fig. 14: lookup time vs purge level, normalized to 'none' cycle 0."""
-    base_cfg = cfg or E2EConfig()
-    series = {}
-    for m in modes:
-        c = E2EConfig(**{**base_cfg.__dict__, "purge": m})
-        series[m] = run_e2e(c).per_cycle_lookup_s
-    baseline = series[modes[0]][0]
-    return {
-        "series": {m: [v / baseline for v in s] for m, s in series.items()},
-        "baseline_seconds": baseline,
-    }
-
-
-def fig15(cfg: E2EConfig | None = None) -> dict:
-    """Fig. 15: post-groom (evolve) enabled vs disabled, normalized to
-    the enabled series' first cycle; also reports run counts (the evolve
-    benefit the paper notes: fewer runs ⇒ faster lookups)."""
-    base_cfg = cfg or E2EConfig()
-    on = run_e2e(E2EConfig(**{**base_cfg.__dict__, "evolve": True}))
-    off = run_e2e(E2EConfig(**{**base_cfg.__dict__, "evolve": False}))
-    baseline = on.per_cycle_lookup_s[0]
+def fig13(ps=(0.0, 0.2, 0.4, 0.6, 0.8, 1.0), cfg: E2EConfig = E2EConfig()) -> dict:
+    """Fig. 13: lookup time vs update rate p%, normalized to p=0 cycle 0;
+    ``io_seconds`` is each series' per-cycle virtual I/O."""
+    res = {p: run_e2e(replace(cfg, p=p)) for p in ps}
+    baseline = res[ps[0]].per_cycle_lookup_s[0]
     return {
         "series": {
-            "post-groom": [v / baseline for v in on.per_cycle_lookup_s],
-            "no post-groom": [v / baseline for v in off.per_cycle_lookup_s],
+            p: [v / baseline for v in r.per_cycle_lookup_s] for p, r in res.items()
         },
-        "run_counts": {
-            "post-groom": on.run_counts,
-            "no post-groom": off.run_counts,
-        },
+        "io_seconds": {p: r.per_cycle_io_s for p, r in res.items()},
         "baseline_seconds": baseline,
+    }
+
+
+def fig14(modes=("none", "half", "all"), cfg: E2EConfig = E2EConfig()) -> dict:
+    """Fig. 14: lookup time vs purge level, normalized to 'none' cycle 0;
+    ``io_seconds`` is each series' per-cycle virtual I/O and
+    ``shared_reads`` its block reads from shared storage."""
+    res = {m: run_e2e(replace(cfg, purge=m)) for m in modes}
+    baseline = res[modes[0]].per_cycle_lookup_s[0]
+    return {
+        "series": {
+            m: [v / baseline for v in r.per_cycle_lookup_s] for m, r in res.items()
+        },
+        "io_seconds": {m: r.per_cycle_io_s for m, r in res.items()},
+        "shared_reads": {m: r.io_stats["reads"]["shared"] for m, r in res.items()},
+        "baseline_seconds": baseline,
+    }
+
+
+def fig15(cfg: E2EConfig = E2EConfig()) -> dict:
+    """Fig. 15: post-groom (evolve) enabled vs disabled, normalized to
+    the enabled series' first cycle; also reports run counts (the evolve
+    benefit the paper notes: fewer runs ⇒ faster lookups) and each
+    series' per-cycle virtual I/O."""
+    res = {
+        "post-groom": run_e2e(replace(cfg, evolve=True)),
+        "no post-groom": run_e2e(replace(cfg, evolve=False)),
+    }
+    baseline = res["post-groom"].per_cycle_lookup_s[0]
+    return {
+        "series": {
+            k: [v / baseline for v in r.per_cycle_lookup_s] for k, r in res.items()
+        },
+        "run_counts": {k: r.run_counts for k, r in res.items()},
+        "io_seconds": {k: r.per_cycle_io_s for k, r in res.items()},
+        "baseline_seconds": baseline,
+    }
+
+
+def unified_scan() -> dict:
+    """Demo of the unified multi-zone DataFrame scan (the ``umzi``
+    DataSource) on a Wildfire-lite table with both zones populated.
+
+    Runs the same snapshot query three ways: a ``umzi`` scan with a
+    pushed equality filter (synopsis data skipping across both zones), a
+    full ``umzi`` scan, and the no-index full-scan baseline over the zone
+    Parquet blocks. Prints rows and seconds for each and asserts that the
+    full scan equals the baseline. Starts its own local SparkSession.
+    """
+    from pyspark.sql import SparkSession
+
+    from repro.sparkio.scan import full_scan_baseline, unified_view
+
+    spark = (
+        SparkSession.builder.master("local[*]")
+        .appName("umzi-repro-scan")
+        .config("spark.sql.shuffle.partitions", "16")
+        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
+        .config("spark.ui.enabled", "false")
+        .getOrCreate()
+    )
+    schema = TableSchema("iot", ("c1", "c2", "v"), ("c1", "c2"), ("c1",), ("c2",))
+    hier = StorageHierarchy(tempfile.mkdtemp(prefix="umzi-scan-"))
+    ix = UmziIndex(defs.make_spec("I1"), UmziConfig(K=3, T=2), CacheManager(hier))
+    shard = TableShard(schema)
+    groomer = Groomer(shard, ix, hier)
+    pg = PostGroomer(schema, ix, hier)
+    indexer = Indexer(schema, ix, hier, pg)
+    for cyc in range(8):
+        keys = np.arange(cyc * 2000, cyc * 2000 + 4000, dtype=np.int64)
+        eq, sorts = defs.key_columns("I1", keys)
+        g = np.random.default_rng(cyc)
+        shard.ingest(pd.DataFrame({"c1": eq["c1"], "c2": sorts["c2"],
+                                   "v": g.integers(0, 10**6, 4000).astype(np.int64)}))
+        groomer.groom()
+        if (cyc + 1) % 4 == 0:
+            pg.post_groom(upto_gbid=groomer.next_gbid - 1, spark=spark)
+            indexer.poll()
+    print("index state:", ix.describe())
+
+    def view():
+        return unified_view(
+            spark, hier.shared.root, query_ts=2**62, key_cols=["c1", "c2"]
+        )
+
+    t0 = time.perf_counter()
+    filtered = view().filter("c1 = 7").count()
+    t1 = time.perf_counter()
+    full = view().count()
+    t2 = time.perf_counter()
+    base = full_scan_baseline(
+        spark, hier.shared.root, "iot", query_ts=2**62, key_cols=["c1", "c2"]
+    ).count()
+    t3 = time.perf_counter()
+    print(f"umzi scan, pushed filter c1=7 : {filtered:>8} rows  {t1-t0:6.2f}s")
+    print(f"umzi scan, full snapshot     : {full:>8} rows  {t2-t1:6.2f}s")
+    print(f"no-index Parquet baseline    : {base:>8} rows  {t3-t2:6.2f}s")
+    assert full == base, "unified view must equal the full-scan baseline"
+    return {
+        "index_state": ix.describe(),
+        "rows": {"pushed_filter": filtered, "full": full, "baseline": base},
+        "seconds": {"pushed_filter": t1 - t0, "full": t2 - t1, "baseline": t3 - t2},
     }

@@ -68,18 +68,11 @@ class CacheManager:
             raise ValueError("a non-persisted run must be cached locally (§6.1)")
         hdr = run.header_bytes()
         blocks = [run.block_bytes(i) for i in range(run.n_blocks)]
-        if persisted:
-            self.h.shared.put(_header_key(run.run_id), hdr)
+        local = {"mem": [self.h.mem], "ssd": [self.h.ssd]}.get(cache_tier, [])
+        for tier in ([self.h.shared] if persisted else []) + local:
+            tier.put(_header_key(run.run_id), hdr)
             for i, blk in enumerate(blocks):
-                self.h.shared.put(_block_key(run.run_id, i), blk)
-        if cache_tier == "mem":
-            self.h.mem.put(_header_key(run.run_id), hdr)
-            for i, blk in enumerate(blocks):
-                self.h.mem.put(_block_key(run.run_id, i), blk)
-        elif cache_tier == "ssd":
-            self.h.ssd.put(_header_key(run.run_id), hdr)
-            for i, blk in enumerate(blocks):
-                self.h.ssd.put(_block_key(run.run_id, i), blk)
+                tier.put(_block_key(run.run_id, i), blk)
         with self._lock:
             self._runs[run.run_id] = _RunState(
                 header=run.header_json(), persisted=persisted, local=cache_tier
