@@ -176,80 +176,59 @@ def run_e2e(cfg: E2EConfig, spark=None) -> E2EResult:
 FIG12_CFG = E2EConfig(cycles=12, per_cycle=3_000, post_groom_every=6, lookup_batch=500)
 
 
+def _result(res: dict) -> dict:
+    """The fields Figs. 12–15 share: each run's per-cycle lookup time
+    normalized to the first run's cycle 0, and its per-cycle virtual I/O."""
+    baseline = next(iter(res.values())).per_cycle_lookup_s[0]
+    return {
+        "series": {
+            k: [v / baseline for v in r.per_cycle_lookup_s] for k, r in res.items()
+        },
+        "io_seconds": {k: r.per_cycle_io_s for k, r in res.items()},
+        "baseline_seconds": baseline,
+    }
+
+
 def fig12(reader_counts=(1, 2, 4, 8, 16), cfg: E2EConfig = FIG12_CFG) -> dict:
     """Fig. 12: lookup time vs concurrent readers, normalized to the
     1-reader series' first cycle."""
-    series = {}
-    series_io = {}
-    baseline = None
-    io_baseline = None
-    for r in reader_counts:
-        res = run_e2e(replace(cfg, readers=r))
-        series[r] = res.per_cycle_lookup_s
-        series_io[r] = res.per_cycle_io_s
-        if baseline is None:
-            baseline = res.per_cycle_lookup_s[0]
-            io_baseline = max(res.per_cycle_io_s[0], 1e-12)
+    res = {r: run_e2e(replace(cfg, readers=r)) for r in reader_counts}
+    io_baseline = max(res[reader_counts[0]].per_cycle_io_s[0], 1e-12)
     return {
-        "series": {r: [v / baseline for v in s] for r, s in series.items()},
+        **_result(res),
         # The lock-free-design signal independent of GIL scheduling: the
         # virtual I/O work per lookup batch must stay flat vs readers.
         "io_series": {
-            r: [v / io_baseline for v in s] for r, s in series_io.items()
+            k: [v / io_baseline for v in r.per_cycle_io_s] for k, r in res.items()
         },
-        "baseline_seconds": baseline,
         "io_baseline_seconds": io_baseline,
     }
 
 
 def fig13(ps=(0.0, 0.2, 0.4, 0.6, 0.8, 1.0), cfg: E2EConfig = E2EConfig()) -> dict:
-    """Fig. 13: lookup time vs update rate p%, normalized to p=0 cycle 0;
-    ``io_seconds`` is each series' per-cycle virtual I/O."""
-    res = {p: run_e2e(replace(cfg, p=p)) for p in ps}
-    baseline = res[ps[0]].per_cycle_lookup_s[0]
-    return {
-        "series": {
-            p: [v / baseline for v in r.per_cycle_lookup_s] for p, r in res.items()
-        },
-        "io_seconds": {p: r.per_cycle_io_s for p, r in res.items()},
-        "baseline_seconds": baseline,
-    }
+    """Fig. 13: lookup time vs update rate p%, normalized to p=0 cycle 0."""
+    return _result({p: run_e2e(replace(cfg, p=p)) for p in ps})
 
 
 def fig14(modes=("none", "half", "all"), cfg: E2EConfig = E2EConfig()) -> dict:
     """Fig. 14: lookup time vs purge level, normalized to 'none' cycle 0;
-    ``io_seconds`` is each series' per-cycle virtual I/O and
-    ``shared_reads`` its block reads from shared storage."""
+    ``shared_reads`` counts each series' block reads from shared storage."""
     res = {m: run_e2e(replace(cfg, purge=m)) for m in modes}
-    baseline = res[modes[0]].per_cycle_lookup_s[0]
     return {
-        "series": {
-            m: [v / baseline for v in r.per_cycle_lookup_s] for m, r in res.items()
-        },
-        "io_seconds": {m: r.per_cycle_io_s for m, r in res.items()},
+        **_result(res),
         "shared_reads": {m: r.io_stats["reads"]["shared"] for m, r in res.items()},
-        "baseline_seconds": baseline,
     }
 
 
 def fig15(cfg: E2EConfig = E2EConfig()) -> dict:
     """Fig. 15: post-groom (evolve) enabled vs disabled, normalized to
     the enabled series' first cycle; also reports run counts (the evolve
-    benefit the paper notes: fewer runs ⇒ faster lookups) and each
-    series' per-cycle virtual I/O."""
+    benefit the paper notes: fewer runs ⇒ faster lookups)."""
     res = {
         "post-groom": run_e2e(replace(cfg, evolve=True)),
         "no post-groom": run_e2e(replace(cfg, evolve=False)),
     }
-    baseline = res["post-groom"].per_cycle_lookup_s[0]
-    return {
-        "series": {
-            k: [v / baseline for v in r.per_cycle_lookup_s] for k, r in res.items()
-        },
-        "run_counts": {k: r.run_counts for k, r in res.items()},
-        "io_seconds": {k: r.per_cycle_io_s for k, r in res.items()},
-        "baseline_seconds": baseline,
-    }
+    return {**_result(res), "run_counts": {k: r.run_counts for k, r in res.items()}}
 
 
 def unified_scan() -> dict:

@@ -124,7 +124,7 @@ class TestFig10_11:
         """Fig. 10c: scan time grows with the range above the scan's fixed
         search + I/O cost. One decade (10K → 100K rows) must cost > 5×;
         a scan doing constant work fails this at any compute speed, since
-        the modelled block reads alone grow ~9×."""
+        the modelled block reads alone grow 7× (4 blocks against 28)."""
         out = fig10_11_scan(
             "sequential", n_runs=4, run_size=25_000, ranges=(10_000, 100_000)
         )
