@@ -72,9 +72,6 @@ def hash_columns(cols: list[np.ndarray]) -> np.ndarray:
     return h
 
 
-_U64 = (1 << 64) - 1
-
-
 def ordered_scalar(v: int) -> int:
     """:func:`to_ordered_u64` of one int64 value, in Python ints. A value
     outside int64 raises ``OverflowError``, as the numpy cast does."""
@@ -82,27 +79,6 @@ def ordered_scalar(v: int) -> int:
     if not -(1 << 63) <= v < (1 << 63):
         raise OverflowError(f"{v} is outside int64")
     return v + (1 << 63)
-
-
-def _splitmix_scalar(x: int) -> int:
-    x = (x + int(_SM_GAMMA)) & _U64
-    x = ((x ^ (x >> 30)) * int(_SM_M1)) & _U64
-    x = ((x ^ (x >> 27)) * int(_SM_M2)) & _U64
-    return x ^ (x >> 31)
-
-
-def hash_scalar(values: tuple[int, ...]) -> int:
-    """Hash of a single equality-key tuple (query-side probe): the scalar
-    twin of :func:`hash_columns`, computed on Python ints.
-
-    The hash is part of the stored run format (runs are sorted by it), so
-    the two must stay bit-equal; ``tests/test_encoding.py`` checks that.
-    A range search computes one hash, and on a 1-element array
-    :func:`hash_columns` costs about a dozen numpy calls."""
-    h = 0
-    for v in values:
-        h = _splitmix_scalar(h ^ _splitmix_scalar(ordered_scalar(v)))
-    return h
 
 
 def key_bytes(*ordered_u64_parts: int) -> bytes:

@@ -152,16 +152,21 @@ class UmziIndex:
             return
         new_nonp = ev.new_run.level in self.config.nonpersisted_levels
         for r in ev.merged:
-            r_nonp = r.level in self.config.nonpersisted_levels
             if new_nonp:
                 # ancestors stay on shared storage; only local copies die
                 self.cache.delete_run(r.run_id, from_shared=False)
             else:
-                self.cache.delete_run(r.run_id, from_shared=not r_nonp)
-                for a in r.ancestors:
-                    # §6.1: once re-persisted, the old persisted ancestors
-                    # of a non-persisted run can finally be deleted.
-                    self.cache.delete_run(a, from_shared=True)
+                self._delete_replaced(r)
+
+    def _delete_replaced(self, run: IndexRun) -> None:
+        """GC a run whose entries now live in a persisted run: the run
+        itself (from shared storage too unless its level is non-persisted),
+        then its ancestors (§6.1: once re-persisted, the old persisted
+        ancestors of a non-persisted run can finally be deleted)."""
+        nonp = run.level in self.config.nonpersisted_levels
+        self.cache.delete_run(run.run_id, from_shared=not nonp)
+        for a in run.ancestors:
+            self.cache.delete_run(a, from_shared=True)
 
     # ------------------------------------------------------------------ evolve
     def evolve(self, pg_run: IndexRun, psn: int | None = None) -> None:
@@ -193,10 +198,7 @@ class UmziIndex:
                 self.groomed.remove(obsolete)
                 if self.cache is not None:
                     for h in obsolete:
-                        nonp = h.level in self.config.nonpersisted_levels
-                        self.cache.delete_run(h.run.run_id, from_shared=not nonp)
-                        for a in h.run.ancestors:
-                            self.cache.delete_run(a, from_shared=True)
+                        self._delete_replaced(h.run)
 
     @property
     def pg_covered_gbid(self) -> int:

@@ -5,11 +5,14 @@ the sort columns) and **point lookups** (entire key bound). Both take a
 ``query_ts`` and return only the most recent version per key with
 ``beginTS <= query_ts`` (snapshot semantics, §7).
 
-Reconciliation across runs is implemented both ways the paper describes
-(§7.1.2): the **set approach** (search newest→oldest, remember returned
-keys) and the **priority-queue approach** (k-way merge of per-run sorted
-results). Both turn each run's key columns into Python tuples in one pass
-and pick row positions; the kept rows are gathered once at the end.
+Reconciliation across runs (§7.1.2) is one rank-tagged ``np.lexsort``
+over the stacked per-run results, in the order key, newest ``beginTS``,
+run rank; the first row of each key is its most recent version, and a
+version held by two runs comes from the newer one. The paper's two
+approaches then differ only in output order: the **priority-queue
+approach** (a k-way merge of per-run sorted results) emits in key order,
+the **set approach** (search newest→oldest, skip keys already returned)
+in run order.
 
 Batched point lookups visit runs newest→oldest, searching
 each for all pending probes at once, with per-probe early exit (§7.2);
@@ -19,9 +22,6 @@ batches much cheaper than random ones (Fig. 10 vs 11).
 """
 from __future__ import annotations
 
-import heapq
-from itertools import repeat
-
 import numpy as np
 
 from repro.core import encoding as enc
@@ -29,36 +29,45 @@ from repro.core.index import UmziIndex
 from repro.core.run import IndexRun, IndexSpec, lower_bound
 
 
-def _empty(index: UmziIndex) -> dict[str, np.ndarray]:
-    return {c: np.empty(0, np.int64) for c in index.spec.result_cols}
+def _empty(spec: IndexSpec) -> dict[str, np.ndarray]:
+    return {c: np.empty(0, np.int64) for c in spec.result_cols}
 
 
 def _concat(index: UmziIndex, parts: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
     if not parts:
-        return _empty(index)
+        return _empty(index.spec)
     return {
         c: np.concatenate([p[c] for p in parts]) for c in index.spec.result_cols
     }
 
 
-def _gather(
-    index: UmziIndex, parts: list[dict[str, np.ndarray]], rows: list[int]
+def reconcile(
+    spec: IndexSpec, parts: list[dict[str, np.ndarray]], method: str = "pq"
 ) -> dict[str, np.ndarray]:
-    """Rows ``rows`` (positions in the concatenation of ``parts``), in
-    that order: each part stacked into one matrix, the matrices joined,
-    then one gather."""
-    names = index.spec.result_cols
+    """The newest version of each key in ``parts`` (§7.1.2): per-run
+    results, newest run first, each holding a key at most once.
+
+    One lexsort of the stacked results by key, descending ``begin_ts``,
+    then rank (position in ``parts``) puts each key's newest version
+    first, a tie going to the newer run. ``pq`` returns the kept rows in
+    key order; ``set`` in run order, each run's rows in their own order.
+    """
     if not parts:
-        return _empty(index)
-    mats = [np.array([p[c] for c in names]) for p in parts]
-    mat = mats[0] if len(mats) == 1 else np.concatenate(mats, axis=1)
-    return dict(zip(names, np.take(mat, rows, axis=1)))
-
-
-def key_tuples(spec: IndexSpec, res: dict[str, np.ndarray]) -> list[tuple]:
-    """The key (equality columns, then sort columns) of every result row,
-    as Python int tuples built in one pass over the columns."""
-    return list(zip(*(res[c].tolist() for c in spec.key_cols)))
+        return _empty(spec)
+    names = spec.result_cols
+    mat = np.concatenate([np.array([p[c] for c in names], np.int64) for p in parts], axis=1)
+    rank = np.repeat(np.arange(len(parts)), [len(p["begin_ts"]) for p in parts])
+    nk = len(spec.key_cols)
+    # lexsort sorts by its last key first; ~ts orders ts descending and,
+    # unlike -ts, maps every int64 to an int64.
+    order = np.lexsort((rank, ~mat[nk]) + tuple(mat[nk - 1 :: -1]))
+    keys = mat[:nk, order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+    rows = order[first]
+    if method == "set":
+        rows.sort()
+    return dict(zip(names, mat[:, rows]))
 
 
 # ----------------------------------------------------------------- range scan
@@ -72,70 +81,17 @@ def range_scan(
 ) -> dict[str, np.ndarray]:
     """Unified multi-zone range scan; ``method`` ∈ {'set', 'pq'} (§7.1.2).
 
-    Both methods return identical rows (tested); they differ in how
-    duplicates across runs/zones are removed.
+    Both methods return the same rows (tested): ``pq`` in key order,
+    ``set`` in run order (see :func:`reconcile`).
     """
-    snap = index.query_snapshot()
-    candidates = [
-        h
-        for h in snap.runs
+    if method not in ("set", "pq"):
+        raise ValueError(f"unknown reconciliation method {method!r}")
+    parts = [
+        h.run.search(eq_values, sort_lo, sort_hi, query_ts, source=index.source_for(h.run))
+        for h in index.query_snapshot().runs  # newest-first
         if h.run.synopsis_admits(eq_values, sort_lo, sort_hi)
     ]
-    if method == "set":
-        return _scan_set(index, candidates, eq_values, sort_lo, sort_hi, query_ts)
-    if method == "pq":
-        return _scan_pq(index, candidates, eq_values, sort_lo, sort_hi, query_ts)
-    raise ValueError(f"unknown reconciliation method {method!r}")
-
-
-def _scan_set(index, candidates, eq_values, sort_lo, sort_hi, query_ts):
-    """Set approach: newest→oldest, keep first (= most recent) per key.
-
-    A run's search result holds each key at most once, so a row is kept
-    exactly when its key was not returned by a newer run."""
-    seen: set[tuple] = set()
-    parts: list[dict[str, np.ndarray]] = []
-    rows: list[int] = []
-    offset = 0
-    for h in candidates:  # snapshot order is newest-first
-        src = index.source_for(h.run)
-        res = h.run.search(eq_values, sort_lo, sort_hi, query_ts, source=src)
-        keys = key_tuples(index.spec, res)
-        if not keys:
-            continue
-        rows += [offset + i for i, k in enumerate(keys) if k not in seen]
-        seen.update(keys)
-        parts.append(res)
-        offset += len(keys)
-    return _gather(index, parts, rows)
-
-
-def _scan_pq(index, candidates, eq_values, sort_lo, sort_hi, query_ts):
-    """Priority-queue approach: k-way merge of per-run sorted results,
-    emitting the most recent version per key (merge-sort style, §7.1.2)."""
-    streams = []
-    parts: list[dict[str, np.ndarray]] = []
-    offset = 0
-    for rank, h in enumerate(candidates):
-        src = index.source_for(h.run)
-        res = h.run.search(eq_values, sort_lo, sort_hi, query_ts, source=src)
-        keys = key_tuples(index.spec, res)
-        if not keys:
-            continue
-        # (key, -beginTS, run_rank, row) ordering: global key order; within
-        # a key the most recent version first; ties broken by run recency.
-        n = len(keys)
-        neg_ts = (-res["begin_ts"]).tolist()
-        streams.append(zip(keys, neg_ts, repeat(rank), range(offset, offset + n)))
-        parts.append(res)
-        offset += n
-    rows: list[int] = []
-    last_key: tuple | None = None
-    for k, _negts, _rank, row in heapq.merge(*streams):
-        if k != last_key:
-            rows.append(row)
-            last_key = k
-    return _gather(index, parts, rows)
+    return reconcile(index.spec, parts, method)
 
 
 # --------------------------------------------------------------- point lookup

@@ -288,6 +288,19 @@ def lower_bound(
     return out
 
 
+def synopsis_overlaps(synopsis: dict, bounds) -> bool:
+    """Run-pruning check (§4.2/§7): for each ``(column, lo, hi)`` of
+    ``bounds`` (a None side is unbounded) the range ``[lo, hi]`` must
+    overlap the column's synopsis ``(min, max)``, else the run holds no
+    match. Columns without a synopsis are not checked."""
+    for col, lo, hi in bounds:
+        if col in synopsis:
+            s_lo, s_hi = synopsis[col]
+            if (lo is not None and lo > s_hi) or (hi is not None and hi < s_lo):
+                return False
+    return True
+
+
 class IndexRun:
     """One sorted, immutable index run (header + data blocks)."""
 
@@ -466,23 +479,16 @@ class IndexRun:
         sort_lo: tuple[int, ...] | None,
         sort_hi: tuple[int, ...] | None,
     ) -> bool:
-        """Run-pruning check (§4.2/§7): every constrained key column must
-        overlap the synopsis range, else the run is skipped."""
-        if self.n_entries == 0:
-            return False
-        if eq_values is not None:
-            for c, v in zip(self.spec.eq_cols, eq_values):
-                lo, hi = self.synopsis[c]
-                if not (lo <= int(v) <= hi):
-                    return False
+        """Run-pruning check for a range scan (§4.2/§7): the equality
+        values and the first sort column's bounds."""
+        bounds = [(c, v, v) for c, v in zip(self.spec.eq_cols, eq_values or ())]
         if self.spec.sort_cols:
-            c0 = self.spec.sort_cols[0]
-            lo, hi = self.synopsis[c0]
-            if sort_lo is not None and int(sort_lo[0]) > hi:
-                return False
-            if sort_hi is not None and int(sort_hi[0]) < lo:
-                return False
-        return True
+            bounds.append((
+                self.spec.sort_cols[0],
+                None if sort_lo is None else sort_lo[0],
+                None if sort_hi is None else sort_hi[0],
+            ))
+        return self.n_entries > 0 and synopsis_overlaps(self.synopsis, bounds)
 
     def synopsis_admits_batch(
         self, eq_min: tuple[int, ...], eq_max: tuple[int, ...]
@@ -490,13 +496,8 @@ class IndexRun:
         """Batch variant: does [batch min, batch max] of each equality
         column overlap the synopsis? Sequential batches are narrow and
         prune most runs; random batches span everything (Fig. 10 vs 11)."""
-        if self.n_entries == 0:
-            return False
-        for c, vmin, vmax in zip(self.spec.eq_cols, eq_min, eq_max):
-            lo, hi = self.synopsis[c]
-            if int(vmax) < lo or int(vmin) > hi:
-                return False
-        return True
+        bounds = zip(self.spec.eq_cols, eq_min, eq_max)
+        return self.n_entries > 0 and synopsis_overlaps(self.synopsis, bounds)
 
     # ----------------------------------------------------------------- search
     def bucket(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -529,7 +530,8 @@ class IndexRun:
         # Lower and upper bound of (hash, eq cols…, first sort col) in one
         # kernel call; an unbounded side takes the extreme uint64 value.
         eq = tuple(int(v) for v in eq_values or ())
-        key = [enc.hash_scalar(eq)] + [enc.ordered_scalar(v) for v in eq]
+        h = int(enc.hash_columns([np.array([v], np.int64) for v in eq])[0]) if eq else 0
+        key = [h] + [enc.ordered_scalar(v) for v in eq]
         lo_key, hi_key = list(key), list(key)
         if spec.sort_cols:
             lo_key.append(0 if sort_lo is None else enc.ordered_scalar(sort_lo[0]))

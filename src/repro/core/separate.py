@@ -63,11 +63,11 @@ class SeparateZoneIndexes:
         self, eq_values, sort_lo, sort_hi, query_ts: int
     ) -> dict[str, np.ndarray]:
         """The extra per-query reconciliation a divided view forces."""
-        u = self.query_naive(eq_values, sort_lo, sort_hi, query_ts)
-        ts = u["begin_ts"].tolist()
-        best: dict[tuple, int] = {}  # key -> row of its newest version
-        for i, k in enumerate(q.key_tuples(self.spec, u)):
-            if k not in best or ts[i] > ts[best[k]]:
-                best[k] = i
-        sel = np.asarray(sorted(best.values()), dtype=np.int64)
-        return {c: v[sel] for c, v in u.items()}
+        return q.reconcile(
+            self.spec,
+            [
+                q.range_scan(ix, eq_values, sort_lo, sort_hi, query_ts)
+                for ix in (self.groomed_ix, self.pg_ix)
+            ],
+            method="set",
+        )

@@ -78,10 +78,17 @@ def _apply_purge(index: UmziIndex, cache: CacheManager, mode: str) -> None:
             cache.purge_run(h.run.run_id)
 
 
-def run_e2e(cfg: E2EConfig, spark=None) -> E2EResult:
-    """Run one configuration; returns the per-cycle lookup-time series."""
-    spec0 = defs.make_spec(cfg.defn)
-    key_cols = tuple(spec0.eq_cols + spec0.sort_cols)
+def run_e2e(cfg: E2EConfig) -> E2EResult:
+    """Run one configuration; returns the per-cycle lookup-time series.
+    The run's storage tiers live in a temporary directory removed at the
+    end."""
+    with tempfile.TemporaryDirectory(prefix="umzi-e2e-") as tmp:
+        return _run_e2e(cfg, StorageHierarchy(tmp))
+
+
+def _run_e2e(cfg: E2EConfig, hier: StorageHierarchy) -> E2EResult:
+    spec = defs.make_spec(cfg.defn)
+    key_cols = tuple(spec.eq_cols + spec.sort_cols)
     schema = TableSchema(
         name="iot",
         columns=key_cols + ("v",),
@@ -89,10 +96,7 @@ def run_e2e(cfg: E2EConfig, spark=None) -> E2EResult:
         sharding_key=key_cols[:1],
         partition_key=key_cols[-1:],
     )
-    tmp = tempfile.mkdtemp(prefix="umzi-e2e-")
-    hier = StorageHierarchy(tmp)
     cache = CacheManager(hier)
-    spec = defs.make_spec(cfg.defn)
     index = UmziIndex(spec, UmziConfig(K=cfg.K, T=cfg.T), cache)
     shard = TableShard(schema)
     groomer = Groomer(shard, index, hier)
@@ -123,7 +127,7 @@ def run_e2e(cfg: E2EConfig, spark=None) -> E2EResult:
         groomer.groom()
 
         if cfg.evolve and (cycle + 1) % cfg.post_groom_every == 0:
-            pg.post_groom(upto_gbid=groomer.next_gbid - 1, spark=spark)
+            pg.post_groom(upto_gbid=groomer.next_gbid - 1)
             indexer.poll()
 
         _apply_purge(index, cache, cfg.purge)
@@ -244,8 +248,6 @@ def unified_scan() -> dict:
     """
     from pyspark.sql import SparkSession
 
-    from repro.sparkio.scan import full_scan_baseline, unified_view
-
     spark = (
         SparkSession.builder.master("local[*]")
         .appName("umzi-repro-scan")
@@ -254,8 +256,14 @@ def unified_scan() -> dict:
         .config("spark.ui.enabled", "false")
         .getOrCreate()
     )
+    with tempfile.TemporaryDirectory(prefix="umzi-scan-") as tmp:
+        return _unified_scan(spark, StorageHierarchy(tmp))
+
+
+def _unified_scan(spark, hier: StorageHierarchy) -> dict:
+    from repro.sparkio.scan import full_scan_baseline, unified_view
+
     schema = TableSchema("iot", ("c1", "c2", "v"), ("c1", "c2"), ("c1",), ("c2",))
-    hier = StorageHierarchy(tempfile.mkdtemp(prefix="umzi-scan-"))
     ix = UmziIndex(defs.make_spec("I1"), UmziConfig(K=3, T=2), CacheManager(hier))
     shard = TableShard(schema)
     groomer = Groomer(shard, ix, hier)

@@ -38,7 +38,7 @@ from pyspark.sql.datasource import (
 from pyspark.sql.types import LongType, StructField, StructType
 
 from repro.core.recovery import plan_runs, read_run
-from repro.core.run import GROOMED, POSTGROOMED, IndexSpec
+from repro.core.run import GROOMED, POSTGROOMED, IndexSpec, synopsis_overlaps
 from repro.storage.tiers import SHARED_LATENCY, DirTier, IOStats
 
 
@@ -117,29 +117,19 @@ class UmziReader(DataSourceReader):
         covered = plan.state["pg_covered_gbid"]
         # §5.4 visibility: ignore groomed runs fully covered by the PG list.
         visible = [h for h in plan.keep[GROOMED] if h["gbid_hi"] > covered]
+        # Run-level data skipping with the pushed filters (§4.2).
+        bounds = (
+            [(c, v, v) for c, v in self.eq_filters.items()]
+            + [(c, v, None) for c, v in self.lo_filters.items()]
+            + [(c, None, v) for c, v in self.hi_filters.items()]
+        )
         parts = []
         for h in visible + plan.keep[POSTGROOMED]:
-            if not self._synopsis_admits(h):
+            if not synopsis_overlaps(h["synopsis"], bounds):
                 self.skipped_runs += 1
                 continue
             parts.append(_RunPartition(header=h, rank=len(parts), eq_values=dict(self.eq_filters)))
         return parts
-
-    def _synopsis_admits(self, header: dict) -> bool:
-        """Run-level data skipping with the pushed filters (§4.2)."""
-        syn = header["synopsis"]
-        for col, v in self.eq_filters.items():
-            if col in syn:
-                lo, hi = syn[col]
-                if not (lo <= v <= hi):
-                    return False
-        for col, v in self.lo_filters.items():
-            if col in syn and v > syn[col][1]:
-                return False
-        for col, v in self.hi_filters.items():
-            if col in syn and v < syn[col][0]:
-                return False
-        return True
 
     # ------------------------------------------------------------------ read
     def read(self, partition: _RunPartition):

@@ -110,24 +110,10 @@ def test_hash_columns_no_columns_is_zero():
     assert enc.hash_columns([]).size == 0
 
 
-def test_hash_scalar_matches_vectorized():
-    a = np.asarray([17, -4], np.int64)
-    b = np.asarray([99, 3], np.int64)
-    hv = enc.hash_columns([a, b])
-    assert enc.hash_scalar((17, 99)) == int(hv[0])
-    assert enc.hash_scalar((-4, 3)) == int(hv[1])
-
-
 def test_scalar_encodings_match_vectorized_at_extremes():
     v = np.asarray([-(2**63), -1, 0, 1, 2**63 - 1, 12345], np.int64)
     assert [enc.ordered_scalar(x) for x in v.tolist()] == enc.to_ordered_u64(v).tolist()
-    hv = enc.hash_columns([v, v[::-1]])
-    got = [enc.hash_scalar((a, b)) for a, b in zip(v.tolist(), v[::-1].tolist())]
-    assert got == hv.tolist()
     for bad in (2**63, -(2**63) - 1):  # outside int64, as np.int64 rejects it
         with pytest.raises(OverflowError):
             enc.ordered_scalar(bad)
 
-
-def test_hash_scalar_empty_is_zero():
-    assert enc.hash_scalar(()) == 0

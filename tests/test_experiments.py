@@ -1,6 +1,8 @@
 """Experiment harnesses (Figs. 8–15) at smoke scale: run, and check the
 qualitative shapes the paper reports."""
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -140,6 +142,11 @@ class TestEndToEnd:
         assert len(res.per_cycle_lookup_s) == 8
         assert res.final_describe["covered_gbid"] == 7
         assert all(t > 0 for t in res.per_cycle_lookup_s)
+
+    def test_run_e2e_removes_its_storage(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        run_e2e(E2EConfig(**self.CFG))
+        assert os.listdir(tmp_path) == []
 
     def test_purge_all_costs_more_io(self):
         none = run_e2e(E2EConfig(**self.CFG, purge="none"))

@@ -360,6 +360,57 @@ def test_pure_range_index_batch_lookup(cache):
         assert got == sorted(zip(d.index.tolist(), d.ts.tolist(), d.v.tolist()))
 
 
+@pytest.mark.parametrize("method", ["set", "pq"])
+def test_pure_range_index_range_scan(cache, method):
+    """No equality columns: a range scan over runs whose keys repeat
+    across runs, one (key, beginTS) held by two runs, against a pandas
+    oracle; each method's output order; the tie goes to the run that
+    comes first in the snapshot."""
+    spec = IndexSpec(sort_cols=("s",), include_cols=("v",), hash_bits=4, block_rows=16)
+    ix = UmziIndex(spec, UmziConfig(K=100, T=2), cache)
+    tie = {"s": 100, "ts": (1 << 16) + 5, "v": 42}  # held by runs 1 and 2
+    frames = []
+    for gb in range(4):
+        g = np.random.default_rng(10 + gb)
+        n = 90
+        df = pd.DataFrame({
+            "s": g.integers(0, 60, n).astype(np.int64),
+            "ts": (np.int64(gb) << 16) + np.arange(n, dtype=np.int64),
+            "v": g.integers(0, 10**9, n).astype(np.int64),
+        })
+        if gb in (1, 2):
+            df = pd.concat([df, pd.DataFrame([tie])], ignore_index=True)
+        df["gb"] = gb
+        ix.add_groomed_run(IndexRun.build(
+            spec, zone=GROOMED, level=0, gbid_lo=gb, gbid_hi=gb,
+            eq={}, sorts={"s": df.s.values}, begin_ts=df.ts.values,
+            rid_zone=np.zeros(len(df)), rid_block=df.gb.values, rid_off=np.arange(len(df)),
+            includes={"v": df.v.values},
+        ))
+        frames.append(df)
+    df = pd.concat(frames, ignore_index=True)
+    assert ix.query_snapshot().runs[0].run.gbid_lo == 3  # newest run first
+    for qts in ((1 << 16) + 60, 2**62):
+        for lo, hi in ((None, None), (10, 40), (7, 7), (90, 120)):
+            res = q.range_scan(
+                ix, None, None if lo is None else (lo,), None if hi is None else (hi,),
+                qts, method=method,
+            )
+            s, gb = res["s"].tolist(), res["rid_block"].tolist()
+            got = sorted(zip(s, res["begin_ts"].tolist(), res["v"].tolist()))
+            d = df[(df.ts <= qts) & (df.s >= (lo or 0)) & (df.s <= (hi or 10**9))]
+            d = d.sort_values("ts").groupby("s").last()
+            assert got == sorted(zip(d.index.tolist(), d.ts.tolist(), d.v.tolist()))
+            if method == "pq":
+                assert s == sorted(set(s))
+            else:
+                assert gb == sorted(gb, reverse=True)
+                runs = [[x for x, b in zip(s, gb) if b == g] for g in dict.fromkeys(gb)]
+                assert all(r == sorted(set(r)) for r in runs)
+            if 100 in s:
+                assert gb[s.index(100)] == 2
+
+
 def test_batch_lookup_duplicate_probes_one_row_per_key(cache):
     ix, df = build_workload(seed=4, cache=cache)
     ks = np.asarray([7, 7, 7, 3, 3, 99, 99], np.int64)  # 99 is never ingested
