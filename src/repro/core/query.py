@@ -42,7 +42,7 @@ def _concat(index: UmziIndex, parts: list[dict[str, np.ndarray]]) -> dict[str, n
 
 
 def reconcile(
-    spec: IndexSpec, parts: list[dict[str, np.ndarray]], method: str = "pq"
+    spec: IndexSpec, parts: list[dict[str, np.ndarray]], method: str
 ) -> dict[str, np.ndarray]:
     """The newest version of each key in ``parts`` (§7.1.2): per-run
     results, newest run first, each holding a key at most once.
