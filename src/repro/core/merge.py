@@ -61,8 +61,8 @@ class MergePolicy:
     def step(
         self,
         chain: ZoneList,
-        before_swap: Callable[[MergeEvent], None] | None = None,
-        after_swap: Callable[[MergeEvent], None] | None = None,
+        before_swap: Callable[[MergeEvent], None],
+        after_swap: Callable[[MergeEvent], None],
     ) -> list[MergeEvent]:
         """Run the policy to quiescence; returns the merges performed.
 
@@ -112,12 +112,10 @@ class MergePolicy:
                     merged=[h.run for h in victims_sorted],
                     new_run=new_run,
                 )
-                if before_swap:
-                    before_swap(ev)
+                before_swap(ev)
                 chain.replace_contiguous(victims_sorted, new_handle)
                 events.append(ev)
-                if after_swap:
-                    after_swap(ev)
+                after_swap(ev)
                 progressed = True
                 break  # re-snapshot after every structural change
         return events

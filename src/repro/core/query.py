@@ -5,9 +5,9 @@ the sort columns) and **point lookups** (entire key bound). Both take a
 ``query_ts`` and return only the most recent version per key with
 ``beginTS <= query_ts`` (snapshot semantics, §7).
 
-Reconciliation across runs (§7.1.2) is one rank-tagged ``np.lexsort``
-over the stacked per-run results, in the order key, newest ``beginTS``,
-run rank; the first row of each key is its most recent version, and a
+Reconciliation across runs (§7.1.2) is one stable ``np.lexsort`` over
+the per-run results stacked newest run first, by key and newest
+``beginTS``; the first row of each key is its most recent version, and a
 version held by two runs comes from the newer one. The paper's two
 approaches then differ only in output order: the **priority-queue
 approach** (a k-way merge of per-run sorted results) emits in key order,
@@ -47,20 +47,20 @@ def reconcile(
     """The newest version of each key in ``parts`` (§7.1.2): per-run
     results, newest run first, each holding a key at most once.
 
-    One lexsort of the stacked results by key, descending ``begin_ts``,
-    then rank (position in ``parts``) puts each key's newest version
-    first, a tie going to the newer run. ``pq`` returns the kept rows in
-    key order; ``set`` in run order, each run's rows in their own order.
+    One lexsort of the stacked results by key and descending ``begin_ts``
+    puts each key's newest version first; the sort is stable, so a tie
+    goes to the row stacked first, from the newer run. ``pq`` returns the
+    kept rows in key order; ``set`` in run order, each run's rows in their
+    own order.
     """
     if not parts:
         return _empty(spec)
     names = spec.result_cols
     mat = np.concatenate([np.array([p[c] for c in names], np.int64) for p in parts], axis=1)
-    rank = np.repeat(np.arange(len(parts)), [len(p["begin_ts"]) for p in parts])
     nk = len(spec.key_cols)
     # lexsort sorts by its last key first; ~ts orders ts descending and,
     # unlike -ts, maps every int64 to an int64.
-    order = np.lexsort((rank, ~mat[nk]) + tuple(mat[nk - 1 :: -1]))
+    order = np.lexsort((~mat[nk],) + tuple(mat[nk - 1 :: -1]))
     keys = mat[:nk, order]
     first = np.ones(len(order), dtype=bool)
     first[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)

@@ -301,6 +301,12 @@ def synopsis_overlaps(synopsis: dict, bounds) -> bool:
     return True
 
 
+def _new_run_id(zone: str, level: int, gbid_lo: int, gbid_hi: int) -> str:
+    """A fresh run ID: zone initial, groomed-block-ID range, level, and a
+    random suffix that tells apart runs over the same range."""
+    return f"{zone[0]}-{gbid_lo:08d}-{gbid_hi:08d}-L{level}-{uuid.uuid4().hex[:8]}"
+
+
 class IndexRun:
     """One sorted, immutable index run (header + data blocks)."""
 
@@ -349,8 +355,6 @@ class IndexRun:
         rid_block: np.ndarray,
         rid_off: np.ndarray,
         includes: dict[str, np.ndarray] | None = None,
-        ancestors: tuple[str, ...] = (),
-        run_id: str | None = None,
     ) -> "IndexRun":
         """Build a run from unsorted raw int64 entry columns (paper §5.2).
 
@@ -396,7 +400,7 @@ class IndexRun:
 
         return cls(
             spec,
-            run_id=run_id or f"{zone[0]}-{gbid_lo:08d}-{gbid_hi:08d}-L{level}-{uuid.uuid4().hex[:8]}",
+            run_id=_new_run_id(zone, level, gbid_lo, gbid_hi),
             zone=zone,
             level=level,
             gbid_lo=gbid_lo,
@@ -404,7 +408,6 @@ class IndexRun:
             cols=cols,
             offset_array=offset_array,
             synopsis=synopsis,
-            ancestors=ancestors,
         )
 
     @staticmethod
@@ -420,8 +423,6 @@ class IndexRun:
         runs: list["IndexRun"],
         *,
         level: int,
-        ancestors: tuple[str, ...] = (),
-        run_id: str | None = None,
     ) -> "IndexRun":
         """Merge several runs of one zone into a new sorted run (§5.3).
 
@@ -460,8 +461,7 @@ class IndexRun:
             synopsis[c] = (min(los), max(his)) if los else (0, -1)
         return cls(
             spec,
-            run_id=run_id
-            or f"{zone[0]}-{gbid_lo:08d}-{gbid_hi:08d}-L{level}-{uuid.uuid4().hex[:8]}",
+            run_id=_new_run_id(zone, level, gbid_lo, gbid_hi),
             zone=zone,
             level=level,
             gbid_lo=gbid_lo,
@@ -469,7 +469,6 @@ class IndexRun:
             cols=cols,
             offset_array=cls._offsets(cols["h"], spec.hash_bits),
             synopsis=synopsis,
-            ancestors=ancestors,
         )
 
     # --------------------------------------------------------------- synopsis

@@ -277,7 +277,7 @@ def _unified_scan(spark, hier: StorageHierarchy) -> dict:
                                    "v": g.integers(0, 10**6, 4000).astype(np.int64)}))
         groomer.groom()
         if (cyc + 1) % 4 == 0:
-            pg.post_groom(upto_gbid=groomer.next_gbid - 1, spark=spark)
+            pg.post_groom(upto_gbid=groomer.next_gbid - 1)
             indexer.poll()
     print("index state:", ix.describe())
 

@@ -164,10 +164,7 @@ def fig10_11_batch(
         for b in batches:
             qk = query_keys(b, mode=qmode, key_space=total, seed=seed + b)
             eq_p, sort_p = defs.probes_for(defn, qk)
-            raw[(qmode, b)] = _timeit(
-                lambda: q.batch_lookup(index, eq_p, sort_p, 2**62),
-                repeats=3 if b <= 1000 else 1,
-            )
+            raw[(qmode, b)] = _timeit(lambda: q.batch_lookup(index, eq_p, sort_p, 2**62))
     # per-key time (paper's y-axis)
     t = {(m, b): sum(v) / b for (m, b), v in raw.items()}
     return _panel("batch", batches, raw, t)
@@ -190,9 +187,7 @@ def fig10_11_runs(
         for qmode in QMODES:
             qk = query_keys(batch, mode=qmode, key_space=total, seed=seed + nr)
             eq_p, sort_p = defs.probes_for(defn, qk)
-            raw[(qmode, nr)] = _timeit(
-                lambda: q.batch_lookup(index, eq_p, sort_p, 2**62), repeats=3
-            )
+            raw[(qmode, nr)] = _timeit(lambda: q.batch_lookup(index, eq_p, sort_p, 2**62))
     return _panel("runs", run_counts, raw, {k: sum(v) for k, v in raw.items()})
 
 
@@ -228,8 +223,7 @@ def fig10_11_scan(
             lo = start % split
             hi = min(lo + r - 1, split - 1)
             raw[(qmode, r)] = _timeit(
-                lambda: q.range_scan(index, (c1,), (lo,), (hi,), 2**62, method="pq"),
-                repeats=3 if r <= 10_000 else 1,
+                lambda: q.range_scan(index, (c1,), (lo,), (hi,), 2**62, method="pq")
             )
     return _panel("range", ranges, raw, {k: sum(v) for k, v in raw.items()})
 

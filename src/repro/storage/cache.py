@@ -12,11 +12,12 @@ Responsibilities, mapped to the paper:
   header block "for queries to locate data blocks". New runs below the
   cached level are written through to the SSD cache.
 * **Miss path** (§7): a query touching a purged run transfers data blocks
-  shared → SSD one block at a time, leaving them cached; ``release_query``
-  drops per-query decoded blocks.
+  shared → SSD one block at a time, leaving them cached; its decoded
+  blocks live in the query's :class:`BlockSource` and are dropped with it.
 """
 from __future__ import annotations
 
+import json
 import threading
 from dataclasses import dataclass
 
@@ -66,7 +67,8 @@ class CacheManager:
         """
         if not persisted and cache_tier == "none":
             raise ValueError("a non-persisted run must be cached locally (§6.1)")
-        hdr = run.header_bytes()
+        header = run.header_json()
+        hdr = json.dumps(header).encode()
         blocks = [run.block_bytes(i) for i in range(run.n_blocks)]
         local = {"mem": [self.h.mem], "ssd": [self.h.ssd]}.get(cache_tier, [])
         for tier in ([self.h.shared] if persisted else []) + local:
@@ -75,7 +77,7 @@ class CacheManager:
                 tier.put(_block_key(run.run_id, i), blk)
         with self._lock:
             self._runs[run.run_id] = _RunState(
-                header=run.header_json(), persisted=persisted, local=cache_tier
+                header=header, persisted=persisted, local=cache_tier
             )
 
     # ------------------------------------------------------------------- read

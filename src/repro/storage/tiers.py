@@ -63,8 +63,9 @@ class TierLatency:
         return self.seek_s + nbytes * self.per_byte_s
 
 
-# Defaults roughly in the ratios of the paper's hardware: DRAM ~100ns seek,
-# NVMe SSD ~100us, networked shared storage ~2ms + lower bandwidth.
+# Tier latencies roughly in the ratios of the paper's hardware: DRAM
+# ~100ns seek, NVMe SSD ~100us, networked shared storage ~2ms + lower
+# bandwidth.
 MEM_LATENCY = TierLatency(seek_s=1e-7, per_byte_s=1e-11)
 SSD_LATENCY = TierLatency(seek_s=1e-4, per_byte_s=5e-10)
 SHARED_LATENCY = TierLatency(seek_s=2e-3, per_byte_s=1e-8)
@@ -159,22 +160,21 @@ class _Tier:
 class MemTier(_Tier):
     """In-process memory tier — a dict of blobs."""
 
-    def __init__(self, stats: IOStats, latency: TierLatency = MEM_LATENCY):
+    def __init__(self, stats: IOStats):
         self.name = "mem"
         self._d: dict[str, bytes] = {}
         self._stats = stats
-        self._latency = latency
         self._lock = threading.Lock()
 
     def put(self, key: str, data: bytes) -> None:
         with self._lock:
             self._d[key] = data
-        self._stats.charge_write(self.name, len(data), self._latency)
+        self._stats.charge_write(self.name, len(data), MEM_LATENCY)
 
     def get(self, key: str) -> bytes:
         with self._lock:
             data = self._d[key]
-        self._stats.charge_read(self.name, len(data), self._latency)
+        self._stats.charge_read(self.name, len(data), MEM_LATENCY)
         return data
 
     def delete(self, key: str) -> None:
@@ -295,20 +295,12 @@ class DirTier(_Tier):
 class StorageHierarchy:
     """The full memory / SSD / shared stack used by one indexer node."""
 
-    def __init__(
-        self,
-        root: str,
-        *,
-        stats: IOStats | None = None,
-        mem_latency: TierLatency = MEM_LATENCY,
-        ssd_latency: TierLatency = SSD_LATENCY,
-        shared_latency: TierLatency = SHARED_LATENCY,
-    ):
-        self.stats = stats or IOStats()
-        self.mem = MemTier(self.stats, mem_latency)
-        self.ssd = DirTier("ssd", os.path.join(root, "ssd"), self.stats, ssd_latency)
+    def __init__(self, root: str):
+        self.stats = IOStats()
+        self.mem = MemTier(self.stats)
+        self.ssd = DirTier("ssd", os.path.join(root, "ssd"), self.stats, SSD_LATENCY)
         self.shared = DirTier(
-            "shared", os.path.join(root, "shared"), self.stats, shared_latency
+            "shared", os.path.join(root, "shared"), self.stats, SHARED_LATENCY
         )
 
     def crash_node(self) -> None:
@@ -316,5 +308,5 @@ class StorageHierarchy:
 
         Models an indexer-process/node crash for recovery tests (§5.5).
         """
-        self.mem = MemTier(self.stats, self.mem._latency)
+        self.mem = MemTier(self.stats)
         self.ssd.wipe()

@@ -35,15 +35,12 @@ class Groomer:
         shard: TableShard,
         index: UmziIndex,
         hierarchy: StorageHierarchy,
-        *,
-        maintain: bool = True,
     ):
         self.shard = shard
         self.index = index
         self.h = hierarchy
         self.cycle = 0
         self.next_gbid = 0
-        self.maintain = maintain  # run the merge policy after each groom
 
     def groom(self) -> int | None:
         """One groom cycle; returns the new groomed block ID (None if the
@@ -80,8 +77,7 @@ class Groomer:
 
         run = self._build_run(block, gbid)
         self.index.add_groomed_run(run)
-        if self.maintain:
-            self.index.maintain()
+        self.index.maintain()
         return gbid
 
     def _build_run(self, block: dict[str, np.ndarray], gbid: int) -> IndexRun:

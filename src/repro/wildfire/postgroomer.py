@@ -26,23 +26,12 @@ The batch travels as plain numpy columns: the groomed blocks' columns are
 concatenated, sorted once by primary key + beginTS to resolve versions,
 and once by partition key + beginTS to write the block; the indexer reads
 back only the index's columns of that block to build the post-groomed run.
-
-The re-organization (step 3) has two interchangeable engines: a Spark
-DataFrame job (``spark=`` given — repartition/sort by partition key, the
-genuinely Spark-shaped bulk path; pandas only at its ``createDataFrame``
-boundary) and the numpy path, with identical semantics; a test asserts
-the two write identical blocks.
 """
 from __future__ import annotations
 
-import glob
 import json
-import os
-import shutil
-import tempfile
 
 import numpy as np
-import pandas as pd
 
 from repro.core import query as q
 from repro.core.index import UmziIndex
@@ -92,12 +81,11 @@ class PostGroomer:
         schema: TableSchema,
         index: UmziIndex,
         hierarchy: StorageHierarchy,
-        end_ts_store: EndTsStore | None = None,
     ):
         self.schema = schema
         self.index = index  # used read-only: PG-portion lookups (§2.1)
         self.h = hierarchy
-        self.end_ts = end_ts_store or EndTsStore()
+        self.end_ts = EndTsStore()
         self._resume()
 
     def _resume(self) -> None:
@@ -136,7 +124,7 @@ class PostGroomer:
         return {"max_psn": 0, "ops": {}}
 
     # ------------------------------------------------------------ post-groom
-    def post_groom(self, upto_gbid: int, spark=None) -> int | None:
+    def post_groom(self, upto_gbid: int) -> int | None:
         """One post-groom operation over groomed blocks
         (last_pg_gbid, upto_gbid]; returns the new PSN (None if no block
         is pending).
@@ -158,8 +146,6 @@ class PostGroomer:
         psn = self.max_psn + 1
 
         deltas = self._resolve_versions(batch)
-        if spark is not None:
-            batch = self._spark_cluster(batch, spark)
         # Cluster by the partition key (+ beginTS), then assign the
         # post-groomed RIDs in that order.
         _sort_by(batch, list(self.schema.partition_key) + ["begin_ts"])
@@ -235,24 +221,6 @@ class PostGroomer:
             "end_ts": batch["begin_ts"][hit],
         }
 
-    def _spark_cluster(self, batch: dict[str, np.ndarray], spark) -> dict[str, np.ndarray]:
-        """The Spark engine: DataFrame repartition-by-range on the partition
-        key + sort within partitions. Returns the rows as columns, in the
-        order of the partition files."""
-        part = list(self.schema.partition_key)
-        sdf = spark.createDataFrame(pd.DataFrame(batch))
-        out = sdf.repartitionByRange(4, *part).sortWithinPartitions(*part, "begin_ts")
-        staging = tempfile.mkdtemp(prefix="pgstage-")
-        try:
-            out.write.mode("overwrite").parquet(staging)
-            parts = []
-            for f in sorted(glob.glob(os.path.join(staging, "part-*.parquet"))):
-                with open(f, "rb") as fh:
-                    parts.append(read_columns(fh.read(), columns=list(batch)))
-        finally:
-            shutil.rmtree(staging, ignore_errors=True)
-        return {c: np.concatenate([p[c] for p in parts]) for c in batch}
-
 
 def _sort_by(batch: dict[str, np.ndarray], cols: list[str]) -> None:
     """Stable-sort the rows of ``batch`` by ``cols``, in place. Columns are
@@ -271,14 +239,13 @@ def _join_found(
     """Match each ``found`` row to the batch row in ``rows`` with its key.
 
     The keys of ``rows`` are distinct and ``found`` holds a subset of them,
-    each once. One stable sort of both key lists puts every found row right
-    after its batch row. Returns (batch rows, found rows), paired, in
-    batch order.
+    each once. One stable sort of both key lists, batch rows first, puts
+    every found row right after its batch row. Returns (batch rows, found
+    rows), paired, in batch order.
     """
     n = len(rows)
-    is_found = np.r_[np.zeros(n, np.int8), np.ones(len(found["begin_ts"]), np.int8)]
     keys = [np.concatenate([batch[c][rows], found[c]]) for c in key_cols]
-    order = np.lexsort([is_found] + keys[::-1])
+    order = np.lexsort(keys[::-1])
     at = np.flatnonzero(order >= n)
     hit, src = rows[order[at - 1]], order[at] - n
     by_row = np.argsort(hit, kind="stable")

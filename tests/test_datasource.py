@@ -303,37 +303,3 @@ def test_full_scan_baseline_matches_index_view(spark, tmp_path):
     a = sorted(map(tuple, base.collect()))
     b = sorted(map(tuple, view.collect()))
     assert a == b
-
-
-def test_post_groom_spark_path_equals_pandas_path(spark, tmp_path):
-    """The Spark repartition-by-partition-key path and the numpy path
-    write identical post-groomed blocks, row for row in written order."""
-    from repro.experiments import defs as edefs
-    from repro.wildfire import Groomer, PostGroomer, TableSchema, TableShard
-    from repro.wildfire.postgroomer import pg_block_key
-    from repro.wildfire.records import from_parquet_bytes
-
-    def build(tmp, use_spark):
-        schema = TableSchema("iot", ("c1", "c2", "v"), ("c1", "c2"), ("c1",), ("c2",))
-        hier = StorageHierarchy(tmp)
-        cm = CacheManager(hier)
-        ix = UmziIndex(edefs.make_spec("I1"), UmziConfig(K=3, T=2), cm)
-        shard = TableShard(schema)
-        groomer = Groomer(shard, ix, hier)
-        pg = PostGroomer(schema, ix, hier)
-        for cyc in range(3):
-            keys = np.arange(cyc * 20, cyc * 20 + 40, dtype=np.int64)
-            eq, sorts = edefs.key_columns("I1", keys)
-            g = np.random.default_rng(cyc)
-            shard.ingest(pd.DataFrame({"c1": eq["c1"], "c2": sorts["c2"],
-                                       "v": g.integers(0, 99, 40).astype(np.int64)}))
-            groomer.groom()
-        pg.post_groom(upto_gbid=groomer.next_gbid - 1,
-                      spark=spark if use_spark else None)
-        return from_parquet_bytes(hier.shared.get(pg_block_key("iot", 1)))
-
-    import os
-
-    a = build(os.path.join(str(tmp_path), "a"), use_spark=False)
-    b = build(os.path.join(str(tmp_path), "b"), use_spark=True)
-    pd.testing.assert_frame_equal(a, b)
