@@ -247,7 +247,7 @@ class UmziIndex:
     # ------------------------------------------------------- cache management
     def apply_cache_level(self, level: int) -> None:
         """§6.2 — set the current cached level: purge every persisted run
-        above it, load every run at or below it."""
+        above it, load every run at or below it that is not fully cached."""
         if self.cache is None:
             raise ValueError("no storage hierarchy attached")
         self.cache_level = level
@@ -257,7 +257,7 @@ class UmziIndex:
                 continue  # non-persisted runs live in memory, never purged
             if h.level > level and st.local != "none":
                 self.cache.purge_run(h.run.run_id)
-            elif h.level <= level and st.local == "none":
+            elif h.level <= level and st.local != "ssd":
                 self.cache.load_run(h.run.run_id)
 
     def auto_adjust_cache(self, ssd_capacity_bytes: int) -> None:

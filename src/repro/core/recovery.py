@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from repro.core.index import UmziConfig, UmziIndex, _STATE_KEY
 from repro.core.run import GROOMED, POSTGROOMED, IndexRun, IndexSpec
 from repro.core.runlist import RunHandle
-from repro.storage.cache import CacheManager, _RunState, _block_key, _header_key
+from repro.storage.cache import CacheManager, _block_key, _header_key
 
 # Plans in a row that a concurrent GC may invalidate before plan_runs
 # gives up and raises.
@@ -116,7 +116,7 @@ def recover(
     plan = plan_runs(shared)
     for h in plan.drop:
         # Registered first, so delete_run knows the blocks to delete too.
-        cache._runs[h["run_id"]] = _RunState(header=h, persisted=True, local="none")
+        cache.register_shared_run(h)
         cache.delete_run(h["run_id"], from_shared=True)
 
     for chain, policy in (
@@ -128,7 +128,7 @@ def recover(
         handles = []
         for h in plan.keep[chain.zone]:
             run = read_run(shared, h)
-            cache._runs[run.run_id] = _RunState(header=h, persisted=True, local="none")
+            cache.register_shared_run(h)
             if run.level == policy.min_level:
                 policy.note_new_run(run)
             handles.append(RunHandle(run, active=False))

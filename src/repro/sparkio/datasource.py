@@ -149,8 +149,3 @@ class UmziReader(DataSourceReader):
         res["_run_rank"] = np.full(n, partition.rank, dtype=np.int64)
         names = self.schema.fieldNames()
         yield pa.RecordBatch.from_arrays([pa.array(res[f]) for f in names], names=names)
-
-
-def register(spark) -> None:
-    """Idempotently register the ``umzi`` format on a session."""
-    spark.dataSource.register(UmziDataSource)

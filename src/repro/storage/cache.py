@@ -3,12 +3,13 @@
 Responsibilities, mapped to the paper:
 
 * **Persistence** (§5.5/§6.1): runs in *persisted* levels write header +
-  data blocks to shared storage; runs in *non-persisted* levels live only
-  in local memory (optionally spilled to SSD) and carry their ancestor
-  run IDs so recovery can fall back to the persisted ancestors.
-* **Caching** (§6.2): data blocks of recent runs are cached on SSD (or in
-  memory); a *current cached level* separates cached from purged runs.
-  Purging a run drops its data blocks from the local tiers but keeps the
+  data blocks to shared storage; runs in *non-persisted* levels live in
+  their run's columns in local memory, written to no tier, and carry
+  their ancestor run IDs so recovery can fall back to the persisted
+  ancestors.
+* **Caching** (§6.2): data blocks of recent runs are cached on the local
+  SSD; a *current cached level* separates cached from purged runs.
+  Purging a run drops its data blocks from the SSD but keeps the
   header block "for queries to locate data blocks". New runs below the
   cached level are written through to the SSD cache.
 * **Miss path** (§7): a query touching a purged run transfers data blocks
@@ -41,9 +42,12 @@ def _block_key(run_id: str, i: int) -> str:
 
 @dataclass
 class _RunState:
-    header: dict
+    n_blocks: int
     persisted: bool  # data blocks exist on shared storage
-    local: str  # "mem" | "ssd" | "none" — where data blocks are cached locally
+    # Where the data blocks are locally: "mem" (resident in the run's own
+    # columns, no block copy), "ssd" (all cached), "partial" (a query
+    # fetched some of them after a purge) or "none".
+    local: str
 
 
 class CacheManager:
@@ -62,37 +66,48 @@ class CacheManager:
 
         ``persisted``: also written to shared storage (mandatory for level
         0 and all persisted levels, §6.1). ``cache_tier``: 'mem' | 'ssd' |
-        'none' — 'none' models a run created above the current cached
-        level (no write-through, §6.2); its header still goes to shared.
+        'none' — 'mem' keeps the run resident in its own columns and
+        writes no local copy; 'none' models a run created above the
+        current cached level (no write-through, §6.2); its header still
+        goes to shared.
         """
         if not persisted and cache_tier == "none":
             raise ValueError("a non-persisted run must be cached locally (§6.1)")
-        header = run.header_json()
-        hdr = json.dumps(header).encode()
-        blocks = [run.block_bytes(i) for i in range(run.n_blocks)]
-        local = {"mem": [self.h.mem], "ssd": [self.h.ssd]}.get(cache_tier, [])
-        for tier in ([self.h.shared] if persisted else []) + local:
-            tier.put(_header_key(run.run_id), hdr)
-            for i, blk in enumerate(blocks):
-                tier.put(_block_key(run.run_id, i), blk)
+        tiers = ([self.h.shared] if persisted else []) + (
+            [self.h.ssd] if cache_tier == "ssd" else []
+        )
+        if tiers:
+            hdr = json.dumps(run.header_json()).encode()
+            blocks = [run.block_bytes(i) for i in range(run.n_blocks)]
+            for tier in tiers:
+                tier.put(_header_key(run.run_id), hdr)
+                for i, blk in enumerate(blocks):
+                    tier.put(_block_key(run.run_id, i), blk)
         with self._lock:
             self._runs[run.run_id] = _RunState(
-                header=header, persisted=persisted, local=cache_tier
+                n_blocks=run.n_blocks, persisted=persisted, local=cache_tier
+            )
+
+    def register_shared_run(self, header: dict) -> None:
+        """Track a run whose blocks are on shared storage only (recovery,
+        §5.5): queries fetch them on demand, purge and delete find them."""
+        with self._lock:
+            self._runs[header["run_id"]] = _RunState(
+                n_blocks=header["n_blocks"], persisted=True, local="none"
             )
 
     # ------------------------------------------------------------------- read
     def read_block(self, run_id: str, i: int) -> bytes:
-        """mem → SSD → shared; a shared-storage hit caches the block on SSD
+        """SSD → shared; a shared-storage hit caches the block on SSD
         (block-basis transfer, §7)."""
         key = _block_key(run_id, i)
-        # Try each local tier and fall through on a miss, rather than test
-        # exists() first: a purge between the test and the read would fail
-        # the query. Only a successful get charges a read.
-        for tier in (self.h.mem, self.h.ssd):
-            try:
-                return tier.get(key)
-            except (KeyError, FileNotFoundError):
-                pass
+        # Read and fall through on a miss, rather than test exists() first:
+        # a purge between the test and the read would fail the query. Only
+        # a successful get charges a read.
+        try:
+            return self.h.ssd.get(key)
+        except FileNotFoundError:
+            pass
         data = self.h.shared.get(key)
         try:
             self.h.ssd.put(key, data)
@@ -101,7 +116,7 @@ class CacheManager:
         with self._lock:
             st = self._runs.get(run_id)
             if st is not None and st.local == "none":
-                st.local = "ssd"  # partially cached now
+                st.local = "partial"  # load_run still fetches the rest
         return data
 
     def state(self, run_id: str) -> _RunState:
@@ -114,7 +129,7 @@ class CacheManager:
 
     # ------------------------------------------------------------ purge/load
     def purge_run(self, run_id: str) -> None:
-        """Drop data blocks from the local tiers; keep the header (§6.2).
+        """Drop data blocks from the SSD; keep the header (§6.2).
 
         Only legal for persisted runs — purging a non-persisted run would
         lose data.
@@ -123,20 +138,17 @@ class CacheManager:
             st = self._runs[run_id]
             if not st.persisted:
                 raise ValueError(f"cannot purge non-persisted run {run_id}")
-            n_blocks = st.header["n_blocks"]
             st.local = "none"
-        for i in range(n_blocks):
-            self.h.mem.delete(_block_key(run_id, i))
+        for i in range(st.n_blocks):
             self.h.ssd.delete(_block_key(run_id, i))
 
     def load_run(self, run_id: str) -> None:
         """Prefetch all data blocks shared → SSD (reverse of purging)."""
         with self._lock:
-            st = self._runs[run_id]
-            n_blocks = st.header["n_blocks"]
+            n_blocks = self._runs[run_id].n_blocks
         for i in range(n_blocks):
             key = _block_key(run_id, i)
-            if not self.h.ssd.exists(key) and not self.h.mem.exists(key):
+            if not self.h.ssd.exists(key):
                 try:
                     self.h.ssd.put(key, self.h.shared.get(key))
                 except FileExistsError:  # pragma: no cover
@@ -148,8 +160,8 @@ class CacheManager:
         """GC a merged/evolved-away run from every tier it occupies."""
         with self._lock:
             st = self._runs.pop(run_id, None)
-        n_blocks = st.header["n_blocks"] if st else 0
-        for tier in (self.h.mem, self.h.ssd) + ((self.h.shared,) if from_shared else ()):
+        n_blocks = st.n_blocks if st else 0
+        for tier in (self.h.ssd,) + ((self.h.shared,) if from_shared else ()):
             tier.delete(_header_key(run_id))
             for i in range(n_blocks):
                 tier.delete(_block_key(run_id, i))

@@ -1,11 +1,14 @@
 """Storage tiers with a virtual I/O clock.
 
-Three tiers (paper §6): local **memory**, local **SSD** cache, and remote
-**shared storage** (HDFS/GlusterFS/S3 in the paper; a local directory
-here). Every access charges a seek latency plus a per-byte transfer cost
-to :class:`IOStats`; benchmarks report wall-clock compute *plus* the
-virtual I/O seconds, which is what reproduces the paper's cache-behaviour
-figures (Fig. 14) on arbitrary container hardware.
+Two tiers: the local **SSD** cache and remote **shared storage**
+(HDFS/GlusterFS/S3 in the paper; a local directory here), both directories
+of blobs. The paper's third level, local memory (§6), is the runs' own
+resident columns: a run at a non-persisted level (§6.1) lives in its
+``IndexRun`` and is copied to no tier. Every access charges a seek
+latency plus a per-byte transfer cost to :class:`IOStats`; benchmarks
+report wall-clock compute *plus* the virtual I/O seconds, which is what
+reproduces the paper's cache-behaviour figures (Fig. 14) on arbitrary
+container hardware.
 
 Shared-storage semantics honoured here, per §1/§6 of the paper:
 append-only writes (a name can only be put once unless deleted first; the
@@ -36,7 +39,7 @@ class IOCapture:
 
     def __init__(self) -> None:
         self.seconds = 0.0
-        self.reads: dict[str, int] = {"mem": 0, "ssd": 0, "shared": 0}
+        self.reads: dict[str, int] = {"ssd": 0, "shared": 0}
         self._token = None
 
     def __enter__(self) -> "IOCapture":
@@ -63,10 +66,8 @@ class TierLatency:
         return self.seek_s + nbytes * self.per_byte_s
 
 
-# Tier latencies roughly in the ratios of the paper's hardware: DRAM
-# ~100ns seek, NVMe SSD ~100us, networked shared storage ~2ms + lower
-# bandwidth.
-MEM_LATENCY = TierLatency(seek_s=1e-7, per_byte_s=1e-11)
+# Tier latencies roughly in the ratios of the paper's hardware: NVMe SSD
+# ~100us seek, networked shared storage ~2ms + lower bandwidth.
 SSD_LATENCY = TierLatency(seek_s=1e-4, per_byte_s=5e-10)
 SHARED_LATENCY = TierLatency(seek_s=2e-3, per_byte_s=1e-8)
 
@@ -89,10 +90,10 @@ def charge_cached_blocks(n_blocks: int, block_bytes: int) -> None:
 class IOStats:
     """Virtual I/O clock + per-tier access counters (thread-safe)."""
 
-    reads: dict = field(default_factory=lambda: {"mem": 0, "ssd": 0, "shared": 0})
-    writes: dict = field(default_factory=lambda: {"mem": 0, "ssd": 0, "shared": 0})
-    bytes_read: dict = field(default_factory=lambda: {"mem": 0, "ssd": 0, "shared": 0})
-    bytes_written: dict = field(default_factory=lambda: {"mem": 0, "ssd": 0, "shared": 0})
+    reads: dict = field(default_factory=lambda: {"ssd": 0, "shared": 0})
+    writes: dict = field(default_factory=lambda: {"ssd": 0, "shared": 0})
+    bytes_read: dict = field(default_factory=lambda: {"ssd": 0, "shared": 0})
+    bytes_written: dict = field(default_factory=lambda: {"ssd": 0, "shared": 0})
     simulated_seconds: float = 0.0
 
     def __post_init__(self) -> None:
@@ -132,69 +133,7 @@ class IOStats:
             self.simulated_seconds = 0.0
 
 
-class _Tier:
-    """Named-blob store interface: put/get/delete/exists/list/delete_dir."""
-
-    name: str
-
-    def put(self, key: str, data: bytes) -> None:
-        raise NotImplementedError
-
-    def get(self, key: str) -> bytes:
-        raise NotImplementedError
-
-    def delete(self, key: str) -> None:
-        raise NotImplementedError
-
-    def exists(self, key: str) -> bool:
-        raise NotImplementedError
-
-    def list(self, prefix: str = "") -> list[str]:
-        raise NotImplementedError
-
-    def delete_dir(self, prefix: str) -> None:
-        """Remove the directory ``prefix`` if it is empty (no-op for tiers
-        without directories)."""
-
-
-class MemTier(_Tier):
-    """In-process memory tier — a dict of blobs."""
-
-    def __init__(self, stats: IOStats):
-        self.name = "mem"
-        self._d: dict[str, bytes] = {}
-        self._stats = stats
-        self._lock = threading.Lock()
-
-    def put(self, key: str, data: bytes) -> None:
-        with self._lock:
-            self._d[key] = data
-        self._stats.charge_write(self.name, len(data), MEM_LATENCY)
-
-    def get(self, key: str) -> bytes:
-        with self._lock:
-            data = self._d[key]
-        self._stats.charge_read(self.name, len(data), MEM_LATENCY)
-        return data
-
-    def delete(self, key: str) -> None:
-        with self._lock:
-            self._d.pop(key, None)
-
-    def exists(self, key: str) -> bool:
-        with self._lock:
-            return key in self._d
-
-    def list(self, prefix: str = "") -> list[str]:
-        with self._lock:
-            return sorted(k for k in self._d if k.startswith(prefix))
-
-    def used_bytes(self) -> int:
-        with self._lock:
-            return sum(len(v) for v in self._d.values())
-
-
-class DirTier(_Tier):
+class DirTier:
     """Filesystem-backed tier (SSD cache dir, or the shared-storage dir).
 
     Keys may contain ``/``; they map to files under ``root``. Writes are
@@ -256,6 +195,7 @@ class DirTier(_Tier):
                 os.remove(p)
 
     def delete_dir(self, prefix: str) -> None:
+        """Remove the directory ``prefix`` if it is empty."""
         # Under the lock, so it cannot remove a directory between put's
         # makedirs and its write.
         with self._lock:
@@ -293,20 +233,19 @@ class DirTier(_Tier):
 
 
 class StorageHierarchy:
-    """The full memory / SSD / shared stack used by one indexer node."""
+    """The SSD cache and shared storage used by one indexer node."""
 
     def __init__(self, root: str):
         self.stats = IOStats()
-        self.mem = MemTier(self.stats)
         self.ssd = DirTier("ssd", os.path.join(root, "ssd"), self.stats, SSD_LATENCY)
         self.shared = DirTier(
             "shared", os.path.join(root, "shared"), self.stats, SHARED_LATENCY
         )
 
     def crash_node(self) -> None:
-        """Lose the node-local tiers (memory + SSD); shared storage survives.
+        """Lose the node-local SSD; shared storage survives. Runs resident
+        in memory are lost with the index object that holds them.
 
         Models an indexer-process/node crash for recovery tests (§5.5).
         """
-        self.mem = MemTier(self.stats)
         self.ssd.wipe()

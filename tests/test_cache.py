@@ -41,8 +41,10 @@ def test_write_persisted_ssd(cm):
 def test_write_nonpersisted_mem_only(cm):
     run = mkrun()
     cm.write_run(run, persisted=False, cache_tier="mem")
-    assert not cm.h.shared.exists(_header_key(run.run_id))
-    assert cm.h.mem.exists(_block_key(run.run_id, 0))
+    # Resident in the run's own columns: no copy on any tier (§6.1).
+    assert cm.h.ssd.list() == [] and cm.h.shared.list() == []
+    assert all(n == 0 for n in cm.h.stats.snapshot()["writes"].values())
+    assert cm.state(run.run_id).local == "mem"
 
 
 def test_nonpersisted_must_be_cached(cm):

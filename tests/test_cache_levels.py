@@ -74,6 +74,29 @@ def test_purged_queries_still_correct_but_cost_more(populated):
     assert purged_cost > cached_cost * 5  # shared-storage latency dominates
 
 
+def test_partly_refetched_run_is_loaded_again(tmp_path):
+    """A query that fetches a few blocks of a purged run from shared
+    storage leaves the run partly cached; raising the cached level then
+    loads the rest, so no later query pays a shared read (§6.2)."""
+    hier = StorageHierarchy(str(tmp_path))
+    cm = CacheManager(hier)
+    ix = UmziIndex(SPEC, CFG, cm)
+    run = mkrun(0, n=20 * SPEC.block_rows)
+    ix.add_groomed_run(run)
+    ix.apply_cache_level(-1)
+    hier.stats.reset()
+    q.point_lookup(ix, (3,), (5,), 2**62)
+    fetched = hier.stats.snapshot()["reads"]["shared"]
+    assert 0 < fetched < run.n_blocks
+    assert cm.state(run.run_id).local == "partial"
+    ix.apply_cache_level(CFG.pg_max_level)
+    assert cm.state(run.run_id).local == "ssd"
+    hier.stats.reset()
+    for k in range(20):
+        q.range_scan(ix, (k,), None, None, 2**62)
+    assert hier.stats.snapshot()["reads"]["shared"] == 0
+
+
 def test_write_through_respects_cache_level(populated, tmp_path):
     hier, cm, ix = populated
     ix.apply_cache_level(-1)

@@ -177,6 +177,20 @@ def test_nonpersisted_levels_recovery_from_ancestors(tmp_path):
     l1 = [h for h in ix.groomed.snapshot() if h.level == 1]
     assert l1 and not cm.state(l1[0].run.run_id).persisted
     assert l1[0].run.ancestors  # persisted ancestry recorded
+    # Before the crash the L1 run answers from its own columns: no tier read.
+    run = l1[0].run
+    want = (
+        pd.concat(dfs[run.gbid_lo : run.gbid_hi + 1])
+        .sort_values("ts").groupby(["k", "s"]).ts.last()
+    )
+    hier.stats.reset()
+    res = q.batch_lookup(
+        ix, [want.index.get_level_values("k").values],
+        [want.index.get_level_values("s").values], 2**62, runs=l1,
+    )
+    got = sorted(zip(res["k"].tolist(), res["s"].tolist(), res["begin_ts"].tolist()))
+    assert got == sorted((k, s, ts) for (k, s), ts in want.items())
+    assert all(n == 0 for n in hier.stats.snapshot()["reads"].values())
     hier.crash_node()
     ix2 = recover(SPEC, cfg, CacheManager(hier))
     assert_queries_match(ix2, df)

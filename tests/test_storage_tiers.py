@@ -6,7 +6,6 @@ import pytest
 from repro.storage.tiers import (
     DirTier,
     IOStats,
-    MemTier,
     SHARED_LATENCY,
     SSD_LATENCY,
     StorageHierarchy,
@@ -21,7 +20,7 @@ def hier(tmp_path):
 
 
 def test_put_get_roundtrip_all_tiers(hier):
-    for tier in (hier.mem, hier.ssd, hier.shared):
+    for tier in (hier.ssd, hier.shared):
         tier.put("a/b", b"hello")
         assert tier.get("a/b") == b"hello"
         assert tier.exists("a/b")
@@ -54,7 +53,7 @@ def test_list_with_prefix(hier):
 
 def test_delete_missing_is_noop(hier):
     hier.shared.delete("nope")  # must not raise
-    hier.mem.delete("nope")
+    hier.ssd.delete("nope")
 
 
 def test_iostats_counts_and_clock(hier):
@@ -77,11 +76,9 @@ def test_iostats_reset(hier):
 
 
 def test_tier_latency_ordering():
-    """Memory << SSD << shared — the hierarchy the paper exploits."""
+    """SSD << shared — the hierarchy the paper exploits."""
     n = 64 * 1024
-    from repro.storage.tiers import MEM_LATENCY
-
-    assert MEM_LATENCY.cost(n) < SSD_LATENCY.cost(n) < SHARED_LATENCY.cost(n)
+    assert SSD_LATENCY.cost(n) < SHARED_LATENCY.cost(n)
 
 
 def test_capture_io_scopes_reads(hier):
@@ -119,11 +116,9 @@ def test_capture_io_is_per_thread(hier):
 
 
 def test_crash_node_loses_local_keeps_shared(hier):
-    hier.mem.put("m", b"1")
     hier.ssd.put("s", b"2")
     hier.shared.put("p", b"3")
     hier.crash_node()
-    assert not hier.mem.exists("m")
     assert not hier.ssd.exists("s")
     assert hier.shared.get("p") == b"3"
 
@@ -132,8 +127,6 @@ def test_used_bytes(hier):
     hier.ssd.put("a", b"x" * 10)
     hier.ssd.put("b", b"x" * 20)
     assert hier.ssd.used_bytes() == 30
-    hier.mem.put("c", b"x" * 5)
-    assert hier.mem.used_bytes() == 5
 
 
 def test_custom_latency_model():
