@@ -8,9 +8,9 @@ Our columns are 64-bit integers (the paper's experiments use 8-byte longs
 for every column). The order-preserving trick is the standard sign-flip:
 ``uint64(x) ^ 2^63`` maps signed int64 order onto unsigned order, and a
 big-endian byte dump of a uint64 compares bytewise exactly like the
-integer. Vectorized numpy equivalents are used everywhere internally;
-``key_bytes`` materializes the actual memcmp string and is used by tests
-to prove the equivalence.
+integer. :func:`memcmp_key` writes a row's ordering columns that way
+into one fixed-width byte string, and every comparison of entries goes
+through it.
 
 beginTS is sorted *descending* (paper §4.2: "to facilitate the access of
 more recent versions"): we encode it as the bitwise complement so that a
@@ -81,11 +81,16 @@ def ordered_scalar(v: int) -> int:
     return v + (1 << 63)
 
 
-def key_bytes(*ordered_u64_parts: int) -> bytes:
-    """Concatenated big-endian dump — the actual memcmp-comparable key.
+def memcmp_key(cols) -> np.ndarray:
+    """The memcmp-comparable key of each row of order-encoded uint64
+    ``cols`` (§4.2): the columns written big-endian, side by side, as one
+    fixed-width ``S{8 * len(cols)}`` array.
 
-    Used by tests to prove bytewise comparison equals columnwise
-    comparison; the engine itself compares numpy uint64 tuples, which is
-    equivalent for fixed-width big-endian parts.
+    numpy compares ``S`` values of one width bytewise, so ``<``, ``==``
+    and ``argsort`` on the key follow the columns' lexicographic order.
+    (``S`` scalars drop trailing NUL bytes: compare whole arrays.)
     """
-    return b"".join(int(p).to_bytes(8, "big") for p in ordered_u64_parts)
+    buf = np.empty(np.shape(cols[0]) + (len(cols),), dtype=">u8")
+    for j, c in enumerate(cols):
+        buf[..., j] = c
+    return buf.view(f"S{8 * len(cols)}")[..., 0]

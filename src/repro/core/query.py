@@ -5,14 +5,14 @@ the sort columns) and **point lookups** (entire key bound). Both take a
 ``query_ts`` and return only the most recent version per key with
 ``beginTS <= query_ts`` (snapshot semantics, §7).
 
-Reconciliation across runs (§7.1.2) is one stable ``np.lexsort`` over
-the per-run results stacked newest run first, by key and newest
-``beginTS``; the first row of each key is its most recent version, and a
-version held by two runs comes from the newer one. The paper's two
-approaches then differ only in output order: the **priority-queue
-approach** (a k-way merge of per-run sorted results) emits in key order,
-the **set approach** (search newest→oldest, skip keys already returned)
-in run order.
+Reconciliation across runs (§7.1.2) is one stable ``argsort`` of the
+per-run results stacked newest run first, by their memcmp key (§4.2):
+key columns, then newest ``beginTS``. The first row of each key is its
+most recent version, and a version held by two runs comes from the newer
+one. The paper's two approaches then differ only in output order: the
+**priority-queue approach** (a k-way merge of per-run sorted results)
+emits in key order, the **set approach** (search newest→oldest, skip keys
+already returned) in run order.
 
 Batched point lookups visit runs newest→oldest, searching
 each for all pending probes at once, with per-probe early exit (§7.2);
@@ -33,12 +33,10 @@ def _empty(spec: IndexSpec) -> dict[str, np.ndarray]:
     return {c: np.empty(0, np.int64) for c in spec.result_cols}
 
 
-def _concat(index: UmziIndex, parts: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
+def _concat(spec: IndexSpec, parts: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
     if not parts:
-        return _empty(index.spec)
-    return {
-        c: np.concatenate([p[c] for p in parts]) for c in index.spec.result_cols
-    }
+        return _empty(spec)
+    return {c: np.concatenate([p[c] for p in parts]) for c in spec.result_cols}
 
 
 def reconcile(
@@ -47,27 +45,23 @@ def reconcile(
     """The newest version of each key in ``parts`` (§7.1.2): per-run
     results, newest run first, each holding a key at most once.
 
-    One lexsort of the stacked results by key and descending ``begin_ts``
-    puts each key's newest version first; the sort is stable, so a tie
-    goes to the row stacked first, from the newer run. ``pq`` returns the
-    kept rows in key order; ``set`` in run order, each run's rows in their
-    own order.
+    One stable ``argsort`` of the stacked results' memcmp key (key
+    columns, then descending ``begin_ts``) puts each key's newest version
+    first; a tie goes to the row stacked first, from the newer run.
+    ``pq`` returns the kept rows in key order; ``set`` in run order, each
+    run's rows in their own order.
     """
-    if not parts:
-        return _empty(spec)
-    names = spec.result_cols
-    mat = np.concatenate([np.array([p[c] for c in names], np.int64) for p in parts], axis=1)
-    nk = len(spec.key_cols)
-    # lexsort sorts by its last key first; ~ts orders ts descending and,
-    # unlike -ts, maps every int64 to an int64.
-    order = np.lexsort((~mat[nk],) + tuple(mat[nk - 1 :: -1]))
-    keys = mat[:nk, order]
+    cols = _concat(spec, parts)
+    ordered = [enc.to_ordered_u64(cols[c]) for c in spec.key_cols]
+    ordered.append(enc.invert_ts(enc.to_ordered_u64(cols["begin_ts"])))
+    order = np.argsort(enc.memcmp_key(ordered), kind="stable")
+    keys = enc.memcmp_key([o[order] for o in ordered[:-1]])
     first = np.ones(len(order), dtype=bool)
-    first[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+    first[1:] = keys[1:] != keys[:-1]
     rows = order[first]
     if method == "set":
         rows.sort()
-    return dict(zip(names, mat[:, rows]))
+    return {c: a[rows] for c, a in cols.items()}
 
 
 # ----------------------------------------------------------------- range scan
@@ -161,7 +155,7 @@ def batch_lookup(
         if res is not None:
             parts.append(res)
         found[pending[hit]] = True
-    return _concat(index, parts)
+    return _concat(spec, parts)
 
 
 def _batch_in_run(index, run: IndexRun, probes):
@@ -175,9 +169,9 @@ def _batch_in_run(index, run: IndexRun, probes):
     inside = np.flatnonzero(pos < hi)
     keys = spec.order_fields[1:-1]
     ent = src.take(keys, pos[inside])
-    match = np.ones(len(inside), dtype=bool)
-    for i, f in enumerate(keys, start=1):
-        match &= ent[f] == probes[i][inside]
+    match = enc.memcmp_key([ent[f] for f in keys]) == enc.memcmp_key(
+        [p[inside] for p in probes[1:-1]]
+    )
     hit = np.zeros(len(pos), dtype=bool)
     hit[inside[match]] = True
     rows = np.unique(pos[hit])

@@ -9,12 +9,12 @@ range this run covers, a per-key-column min/max **synopsis**, and a
 2ⁿ-entry **hash offset array**) plus fixed-size **data blocks**.
 
 All ordering columns are kept in order-preserving uint64 encodings
-(:mod:`repro.core.encoding`), so an ascending ``np.lexsort`` produces
-exactly the paper's order — hash, equality columns, sort columns, and
-*descending* beginTS (the timestamp is stored complemented). The RID —
-zone + block ID + offset (footnote 2) — is one packed uint64 field: zone
-in bit 63, block ID in 39 bits, offset in the low 24 bits, so an entry
-with no included column takes ``(key columns + 3) × 8`` bytes.
+(:mod:`repro.core.encoding`), so their memcmp key (``enc.memcmp_key``)
+sorts in exactly the paper's order — hash, equality columns, sort
+columns, and *descending* beginTS (the timestamp is stored complemented).
+The RID — zone + block ID + offset (footnote 2) — is one packed uint64
+field: zone in bit 63, block ID in 39 bits, offset in the low 24 bits, so
+an entry with no included column takes ``(key columns + 3) × 8`` bytes.
 
 Single-run search narrows the candidate range with the offset array
 (most-significant ``hash_bits`` of the probe hash), then searches the
@@ -28,7 +28,6 @@ does every such search, for all probes of a batch at once, through an
 from __future__ import annotations
 
 import io
-import json
 import uuid
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -194,7 +193,7 @@ class EntrySource:
         blocks = positions // self.spec.block_rows
         fresh = blocks[~self._touched[blocks]]
         if len(fresh):
-            fresh = np.asarray(sorted(set(fresh.tolist())))
+            fresh = np.unique(fresh)
             self._touched[fresh] = True
             self._load(fresh)
         return self._gather(fields, positions, blocks)
@@ -248,7 +247,7 @@ def lower_bound(
     """Per probe, the first position in ``[lo, hi)`` whose entry is not
     below the probe, or ``hi`` if there is none (§7.1.1's binary search).
 
-    Entries and probes compare lexicographically over ``fields``;
+    Entries and probes compare by their memcmp key over ``fields``;
     ``probes`` holds one uint64 array per field. Where ``right`` (a bool,
     or one per probe) is set, an entry equal to the probe also counts as
     below, as with ``np.searchsorted(side="right")``. All probes advance
@@ -259,7 +258,7 @@ def lower_bound(
     span = np.asarray(hi, dtype=np.int64) - out
     idx = (span > 0).nonzero()[0]
     a, span = out[idx], span[idx]
-    key = np.array(probes)[:, idx, None]
+    key = enc.memcmp_key(probes)[idx, None]
     right = np.full(out.shape, right)[idx, None]
     wide = True
     while len(idx):
@@ -270,11 +269,8 @@ def lower_bound(
         fan = 2 if wide else max(2, PIVOTS // len(idx))
         piv = a[:, None] + (span[:, None] * np.arange(1, fan)) // fan
         ent = src.take(fields, piv.ravel())
-        val = np.array([ent[f] for f in fields]).reshape((len(fields),) + piv.shape)
-        less, same = val < key, val == key
-        below = right
-        for f in range(len(fields) - 1, -1, -1):
-            below = less[f] | (same[f] & below)
+        val = enc.memcmp_key([ent[f] for f in fields]).reshape(piv.shape)
+        below = (val < key) | (right & (val == key))
         # Entries are sorted, so ``below`` is a prefix of each probe's
         # pivots: the bound lies after pivot c - 1 and at or before pivot c.
         c = below.sum(axis=1)
@@ -284,7 +280,7 @@ def lower_bound(
         if np.count_nonzero(done):
             out[idx[done]] = a[done]
             keep = ~done
-            idx, a, span, key, right = idx[keep], a[keep], span[keep], key[:, keep], right[keep]
+            idx, a, span, key, right = idx[keep], a[keep], span[keep], key[keep], right[keep]
     return out
 
 
@@ -384,7 +380,9 @@ class IndexRun:
         for i, c in enumerate(spec.include_cols):
             cols[f"i{i}"] = enc.to_ordered_u64(np.asarray(includes[c], np.int64))
 
-        # np.lexsort sorts by the *last* key first → reverse priority order.
+        # The input is unsorted: here np.lexsort beats an argsort of the
+        # memcmp key (447 against 537 ms at 1M entries). It sorts by its
+        # *last* key first → reverse priority order.
         perm = np.lexsort([cols[f] for f in reversed(spec.order_fields)])
         cols = {f: np.ascontiguousarray(cols[f][perm]) for f in spec.fields}
 
@@ -441,17 +439,19 @@ class IndexRun:
         cols = {
             f: np.concatenate([r.cols[f] for r in runs]) for f in spec.fields
         }
-        perm = np.lexsort([cols[f] for f in reversed(spec.order_fields)])
-        cols = {f: np.ascontiguousarray(cols[f][perm]) for f in spec.fields}
-        n = len(perm)
-        if n:
-            dup = np.ones(n, dtype=bool)
-            same = np.ones(n - 1, dtype=bool)
-            for f in spec.order_fields + ("r",):
-                same &= cols[f][1:] == cols[f][:-1]
-            dup[1:] = ~same
-            if not dup.all():
-                cols = {f: np.ascontiguousarray(a[dup]) for f, a in cols.items()}
+        # The inputs are each sorted, which a stable argsort of one key
+        # exploits. Identical entries end up adjacent, with equal keys.
+        key_fields = spec.order_fields + ("r",)
+        perm = np.argsort(enc.memcmp_key([cols[f] for f in key_fields]), kind="stable")
+        for f in spec.fields:  # one column at a time, to bound memory
+            cols[f] = cols[f][perm]
+        del perm
+        key = enc.memcmp_key([cols[f] for f in key_fields])
+        keep = np.ones(len(key), dtype=bool)
+        keep[1:] = key[1:] != key[:-1]
+        del key
+        if not keep.all():
+            cols = {f: a[keep] for f, a in cols.items()}
         gbid_lo = min(r.gbid_lo for r in runs)
         gbid_hi = max(r.gbid_hi for r in runs)
         synopsis = {}
@@ -560,10 +560,8 @@ class IndexRun:
         # recent visible version of its key exactly when it is kept and the
         # entry before it is not a kept version of the same key.
         if b - a > 1:
-            same = keep[:-1].copy()
-            for f in spec.fields[1 : 1 + len(spec.key_cols)]:
-                same &= sub[f][1:] == sub[f][:-1]
-            keep[1:] &= ~same
+            key = enc.memcmp_key([sub[f] for f in spec.fields[1 : 1 + len(spec.key_cols)]])
+            keep[1:] &= ~(keep[:-1] & (key[1:] == key[:-1]))
         return self._decode(sub, keep.nonzero()[0])
 
     # ----------------------------------------------------------------- decode
@@ -643,12 +641,6 @@ class IndexRun:
             synopsis={k: (v[0], v[1]) for k, v in header["synopsis"].items()},
             ancestors=tuple(header["ancestors"]),
         )
-
-    def approx_bytes(self) -> int:
-        return self.n_entries * 8 * len(self.spec.fields)
-
-    def header_bytes(self) -> bytes:
-        return json.dumps(self.header_json()).encode()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

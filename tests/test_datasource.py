@@ -1,5 +1,7 @@
 """The ``umzi`` DataSource V2: unified multi-zone DataFrame scans with
 data skipping, checked against the DuckDB oracle (repro hint's core)."""
+import json
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -208,7 +210,7 @@ def test_scan_leaves_out_half_written_run(populated):
     hier, ix, all_df = populated
     half = groomed_run(entries(9), 9)
     assert half.n_blocks > 1
-    hier.shared.put(f"runs/{half.run_id}/header", half.header_bytes())
+    hier.shared.put(f"runs/{half.run_id}/header", json.dumps(half.header_json()).encode())
     hier.shared.put(f"runs/{half.run_id}/block.00000", half.block_bytes(0))
     parts, rows = scan_rows(reader_for(hier))
     assert half.run_id not in {p.header["run_id"] for p in parts}

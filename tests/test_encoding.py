@@ -46,31 +46,49 @@ def test_ordered_u64_order_hypothesis(vals):
 
 @given(st.lists(I64, min_size=2, max_size=20))
 @settings(max_examples=100, deadline=None)
-def test_key_bytes_memcmp_equals_int_compare(vals):
+def test_memcmp_key_equals_int_compare(vals):
     """Bytewise comparison of the encoded key == integer comparison —
-    the LevelDB-style memcmp property the paper requires."""
+    the LevelDB-style memcmp property the paper requires. The key's
+    bytes are the big-endian dump, compared both as Python bytes and by
+    numpy on the whole array."""
     a = np.asarray(vals, dtype=np.int64)
     e = enc.to_ordered_u64(a)
-    bs = [enc.key_bytes(int(x)) for x in e]
+    key = enc.memcmp_key([e])
+    bs = [bytes(row) for row in key.view(np.uint8).reshape(len(a), 8)]
+    assert bs == [int(x).to_bytes(8, "big") for x in e]
+    assert ((key[:, None] < key[None, :]) == (a[:, None] < a[None, :])).all()
     for i in range(len(a)):
         for j in range(len(a)):
             assert (a[i] < a[j]) == (bs[i] < bs[j])
 
 
-def test_key_bytes_concatenation_orders_tuples():
+def test_memcmp_key_orders_tuples():
     """Fixed-width big-endian concatenation orders multi-column keys
     exactly like tuple comparison."""
-    tuples = [(-3, 7), (-3, -7), (0, 0), (5, -1), (5, 1), (-3, 8)]
-    enc_t = [
-        enc.key_bytes(
-            int(enc.to_ordered_u64(np.asarray([x], np.int64))[0]),
-            int(enc.to_ordered_u64(np.asarray([y], np.int64))[0]),
-        )
-        for x, y in tuples
-    ]
-    assert sorted(range(len(tuples)), key=lambda i: tuples[i]) == sorted(
-        range(len(tuples)), key=lambda i: enc_t[i]
+    tuples = [(-3, 7), (-3, -7), (0, 0), (5, -1), (5, 1), (-3, 8), (0, 256), (0, -256)]
+    cols = [enc.to_ordered_u64(np.asarray(c, np.int64)) for c in zip(*tuples)]
+    key = enc.memcmp_key(cols)
+    by_tuple = sorted(range(len(tuples)), key=lambda i: tuples[i])
+    assert np.argsort(key, kind="stable").tolist() == by_tuple
+    rows = key.view(np.uint8).reshape(len(tuples), 16)
+    assert sorted(range(len(tuples)), key=lambda i: bytes(rows[i])) == by_tuple
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_memcmp_key_argsort_equals_lexsort(seed):
+    """A stable argsort of the key is the permutation ``np.lexsort`` gives
+    over the columns, also for values whose encodings end in zero bytes
+    (0 encodes as 0x80 00…00, multiples of 256 end in 0x00), the int64
+    extremes, and ties."""
+    g = np.random.default_rng(seed)
+    pool = np.array(
+        [0, 256, -256, 1 << 16, -(1 << 40), 1, -1, -(2**63), 2**63 - 1, 2**63 - 256],
+        np.int64,
     )
+    cols = [pool[g.integers(0, len(pool), 3000)] for _ in range(3)]
+    key = enc.memcmp_key([enc.to_ordered_u64(c) for c in cols])
+    assert key.dtype == np.dtype("S24")
+    assert (np.argsort(key, kind="stable") == np.lexsort(cols[::-1])).all()
 
 
 def test_invert_ts_descends():
