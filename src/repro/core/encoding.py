@@ -81,16 +81,34 @@ def ordered_scalar(v: int) -> int:
     return v + (1 << 63)
 
 
-def memcmp_key(cols) -> np.ndarray:
+def memcmp_key(cols, rows=None) -> np.ndarray:
     """The memcmp-comparable key of each row of order-encoded uint64
-    ``cols`` (§4.2): the columns written big-endian, side by side, as one
-    fixed-width ``S{8 * len(cols)}`` array.
+    ``cols`` (§4.2), or of ``rows`` of them if given: the columns written
+    big-endian, side by side, as one fixed-width ``S{8 * len(cols)}``
+    array.
 
     numpy compares ``S`` values of one width bytewise, so ``<``, ``==``
     and ``argsort`` on the key follow the columns' lexicographic order.
     (``S`` scalars drop trailing NUL bytes: compare whole arrays.)
     """
-    buf = np.empty(np.shape(cols[0]) + (len(cols),), dtype=">u8")
+    shape = np.shape(cols[0] if rows is None else rows)
+    buf = np.empty(shape + (len(cols),), dtype=">u8")
     for j, c in enumerate(cols):
-        buf[..., j] = c
+        buf[..., j] = c if rows is None else c[rows]
     return buf.view(f"S{8 * len(cols)}")[..., 0]
+
+
+def key_columns(key: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`memcmp_key`, without a copy: a contiguous 1-D
+    key array as a ``(len(key), width // 8)`` big-endian uint64 view, one
+    column per field."""
+    return key.view(">u8").reshape(len(key), key.dtype.itemsize // 8)
+
+
+def key_prefix(key: np.ndarray, nfields: int) -> np.ndarray:
+    """The first ``nfields`` fields of each key of ``key``, as an
+    ``S{8 * nfields}`` view: keys compare on their leading fields alone."""
+    view = np.dtype(
+        {"names": ["p"], "formats": [f"S{8 * nfields}"], "itemsize": key.dtype.itemsize}
+    )
+    return key.view(view)["p"]

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.core import encoding as enc
 from repro.core.index import UmziIndex
-from repro.core.run import IndexRun, IndexSpec, lower_bound
+from repro.core.run import IndexRun, IndexSpec, search_sorted
 
 
 def _empty(spec: IndexSpec) -> dict[str, np.ndarray]:
@@ -133,11 +133,14 @@ def batch_lookup(
         raise ValueError("a lookup binds every key column (§7.2)")
     nprobe = len((eq + sort)[0])
     h = enc.hash_columns(eq) if eq else np.zeros(nprobe, np.uint64)
-    # Probes over the run order (hash, key cols…, inverted ts): the entry
-    # at a probe's lower bound is the key's newest version visible at
-    # query_ts exactly when its key equals the probe's.
+    # Probe keys over the run order (hash, key cols…, inverted ts): the
+    # entry at a probe's lower bound is the key's newest version visible
+    # at query_ts exactly when its key equals the probe's. Put in hash
+    # order once, so that every run's search walks its keys in order.
+    order = np.argsort(h)
+    h, eq, sort = h[order], [c[order] for c in eq], [c[order] for c in sort]
     tq = enc.invert_ts(enc.to_ordered_u64(np.full(nprobe, query_ts, np.int64)))
-    probes = [h] + [enc.to_ordered_u64(c) for c in eq + sort] + [tq]
+    needles = enc.memcmp_key([h] + [enc.to_ordered_u64(c) for c in eq + sort] + [tq])
 
     found = np.zeros(nprobe, dtype=bool)
     parts: list[dict[str, np.ndarray]] = []
@@ -151,27 +154,26 @@ def batch_lookup(
             eq_max = tuple(int(c[pending].max()) for c in eq)
             if not hd.run.synopsis_admits_batch(eq_min, eq_max):
                 continue
-        res, hit = _batch_in_run(index, hd.run, [p[pending] for p in probes])
+        res, hit = _batch_in_run(index, hd.run, needles[pending])
         if res is not None:
             parts.append(res)
         found[pending[hit]] = True
     return _concat(spec, parts)
 
 
-def _batch_in_run(index, run: IndexRun, probes):
-    """Search one run for all ``probes`` at once (§7.1.1): returns the
-    decoded newest visible entry of each distinct found key (or None) and
-    a mask of the probes found."""
+def _batch_in_run(index, run: IndexRun, needles):
+    """Search one run for all probe keys ``needles`` at once (§7.1.1):
+    returns the decoded newest visible entry of each distinct found key
+    (or None) and a mask of the probes found."""
     spec = run.spec
     src = index.source_for(run)
-    lo, hi = run.bucket(probes[0])
-    pos = lower_bound(src, spec.order_fields, probes, lo, hi)
+    lo, hi = run.bucket(enc.key_columns(needles)[:, 0])
+    pos = search_sorted(src, needles, lo, hi)
     inside = np.flatnonzero(pos < hi)
-    keys = spec.order_fields[1:-1]
-    ent = src.take(keys, pos[inside])
-    match = enc.memcmp_key([ent[f] for f in keys]) == enc.memcmp_key(
-        [p[inside] for p in probes[1:-1]]
-    )
+    # A probe is found where the entry at its bound has its key: every
+    # order field but the timestamp.
+    nkey = len(spec.order_fields) - 1
+    match = enc.key_prefix(src.keys(pos[inside]), nkey) == enc.key_prefix(needles[inside], nkey)
     hit = np.zeros(len(pos), dtype=bool)
     hit[inside[match]] = True
     rows = np.unique(pos[hit])

@@ -9,21 +9,26 @@ range this run covers, a per-key-column min/max **synopsis**, and a
 2ⁿ-entry **hash offset array**) plus fixed-size **data blocks**.
 
 All ordering columns are kept in order-preserving uint64 encodings
-(:mod:`repro.core.encoding`), so their memcmp key (``enc.memcmp_key``)
-sorts in exactly the paper's order — hash, equality columns, sort
-columns, and *descending* beginTS (the timestamp is stored complemented).
-The RID — zone + block ID + offset (footnote 2) — is one packed uint64
-field: zone in bit 63, block ID in 39 bits, offset in the low 24 bits, so
-an entry with no included column takes ``(key columns + 3) × 8`` bytes.
+(:mod:`repro.core.encoding`) and stored side by side, big-endian, as one
+memcmp key per entry (``IndexRun.key``, ``enc.memcmp_key``), which sorts
+in exactly the paper's order — hash, equality columns, sort columns, and
+*descending* beginTS (the timestamp is stored complemented). The other
+fields are native uint64 columns. The RID — zone + block ID + offset
+(footnote 2) — is one packed uint64 field: zone in bit 63, block ID in 39
+bits, offset in the low 24 bits, so an entry with no included column
+takes ``(key columns + 3) × 8`` bytes. A data block holds its rows' keys,
+then its other fields column by column.
 
 Single-run search narrows the candidate range with the offset array
 (most-significant ``hash_bits`` of the probe hash), then searches the
 concatenated bound, iterates to the upper bound, filters
 ``beginTS <= queryTS``, and keeps the first (= most recent) entry per key
 — the worked example of Fig. 2 in the paper is test-encoded in
-``tests/test_run_search.py``. One vectorized kernel, :func:`lower_bound`,
+``tests/test_run_search.py``. One vectorized kernel, :func:`search_sorted`,
 does every such search, for all probes of a batch at once, through an
-:class:`EntrySource` whether the run is memory-resident or block-backed.
+:class:`EntrySource` whether the run is memory-resident or block-backed:
+it bisects a range only while it reaches into a block not read yet, then
+ends with one ``np.searchsorted`` over the keys, as an SSTable search does.
 """
 from __future__ import annotations
 
@@ -147,10 +152,28 @@ class IndexSpec:
         xor.flags.writeable = False  # shared by every search of this spec
         return xor
 
+    @cached_property
+    def bucket_keys(self) -> np.ndarray:
+        """The smallest memcmp key of each offset-array bucket: its first
+        hash value (bucket i ← ``i << (64 - hash_bits)``), then zeros. A
+        run's 2ⁿ-entry offset array is one search of them in its key:
+        bucket i starts at the first row whose top-n hash bits ≥ i."""
+        n = 1 << self.hash_bits
+        firsts = np.arange(n, dtype=np.uint64) << np.uint64(64 - self.hash_bits)
+        key = enc.memcmp_key([firsts] + [np.zeros(n, np.uint64)] * (len(self.order_fields) - 1))
+        key.flags.writeable = False  # shared by every run of this spec
+        return key
+
     @property
     def order_fields(self) -> tuple[str, ...]:
-        """The fields a run is sorted by: hash, key columns, inverted ts."""
+        """The fields a run is sorted by, which make up its memcmp key:
+        hash, key columns, inverted ts."""
         return self.fields[: len(self.key_cols) + 2]
+
+    @property
+    def rest_fields(self) -> tuple[str, ...]:
+        """The fields kept as uint64 columns: the RID, included columns."""
+        return self.fields[len(self.key_cols) + 2 :]
 
     def to_json(self) -> dict:
         return {
@@ -175,12 +198,13 @@ class IndexSpec:
 class EntrySource:
     """Random access to one run's (encoded) entries, for one query.
 
-    All searches read through :meth:`take`, so one kernel serves
-    memory-resident runs and SSD/shared-storage block-backed runs. A data
-    block is loaded on its first touch only: each block costs one read per
-    (run, query), the batch amortization of §8.3.2 ("once an index block
-    is fetched into memory for the lookup of a particular key, no
-    additional I/O is required to fetch that block again").
+    All searches read through :meth:`keys`, :meth:`take` and
+    :meth:`search_blocks`, so one kernel serves memory-resident runs and
+    SSD/shared-storage block-backed runs. A data block is loaded on its
+    first touch only: each block costs one read per (run, query), the
+    batch amortization of §8.3.2 ("once an index block is fetched into
+    memory for the lookup of a particular key, no additional I/O is
+    required to fetch that block again").
     """
 
     def __init__(self, spec: IndexSpec, n_entries: int):
@@ -188,15 +212,38 @@ class EntrySource:
         self.n_entries = n_entries
         self._touched = np.zeros(max(1, -(-n_entries // spec.block_rows)), dtype=bool)
 
-    def take(self, fields, positions: np.ndarray) -> dict[str, np.ndarray]:
-        """``fields`` of the entries at ``positions`` (int64 array)."""
+    def touch(self, positions: np.ndarray) -> np.ndarray:
+        """Load the blocks of ``positions`` (int64) not loaded yet;
+        returns the block of each position."""
         blocks = positions // self.spec.block_rows
         fresh = blocks[~self._touched[blocks]]
         if len(fresh):
             fresh = np.unique(fresh)
             self._touched[fresh] = True
             self._load(fresh)
-        return self._gather(fields, positions, blocks)
+        return blocks
+
+    def take(self, fields, positions: np.ndarray) -> dict[str, np.ndarray]:
+        """``fields`` of the entries at ``positions`` (int64 array)."""
+        return self._gather(fields, positions, self.touch(positions))
+
+    def keys(self, positions: np.ndarray) -> np.ndarray:
+        """The memcmp keys (order fields, §4.2) of the entries at
+        ``positions``."""
+        return self._gather_keys(positions, self.touch(positions))
+
+    def loaded(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Whether every block of each non-empty range ``[a, b)`` is loaded."""
+        br = self.spec.block_rows
+        first, last = a // br, (b - 1) // br
+        done = np.cumsum(self._touched)  # blocks loaded up to each block
+        return done[last] - done[first] + self._touched[first] == last - first + 1
+
+    def search_blocks(self, needles, a, b, side: str) -> np.ndarray:
+        """:func:`search_sorted` once each non-empty ``[a, b)`` lies in
+        one block or in loaded blocks: the first block of each range is
+        touched, and every range searched."""
+        raise NotImplementedError
 
     def _load(self, blocks: np.ndarray) -> None:
         """Make ``blocks`` (touched for the first time) readable."""
@@ -206,14 +253,26 @@ class EntrySource:
         """``take`` once every block in ``blocks`` (of ``positions``) is loaded."""
         raise NotImplementedError
 
+    def _gather_keys(self, positions: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+        """``keys`` once every block in ``blocks`` (of ``positions``) is loaded."""
+        raise NotImplementedError
+
 
 class MemorySource(EntrySource):
-    """Entries fully resident as numpy columns; a block's first touch
-    charges one modelled SSD read to the ambient ``capture_io`` scope."""
+    """Entries fully resident in the run's key and columns; a block's
+    first touch charges one modelled SSD read to the ambient
+    ``capture_io`` scope."""
 
     def __init__(self, run: "IndexRun"):
         super().__init__(run.spec, run.n_entries)
+        self.key = run.key
         self.cols = run.cols
+
+    def search_blocks(self, needles, a, b, side):
+        # The run is sorted as a whole, so one search over all of it,
+        # clipped to each range, is the search within that range.
+        self.touch(a[a < b])
+        return np.clip(np.searchsorted(self.key, needles, side), a, b)
 
     def _load(self, blocks: np.ndarray) -> None:
         # Imported here: repro.storage imports this module.
@@ -225,63 +284,45 @@ class MemorySource(EntrySource):
     def _gather(self, fields, positions, blocks):
         return {f: self.cols[f][positions] for f in fields}
 
+    def _gather_keys(self, positions, blocks):
+        return np.take(self.key, positions)
 
-# Pivots one round of the search kernel reads within a block, shared by
-# the unresolved probes. Each numpy call costs about a microsecond whatever
-# its size, so a single search splits its range up to 128 ways and ends
-# in two rounds, while a large batch bisects and keeps its arrays small.
-PIVOTS = 256
+
 _U64_MAX = (1 << 64) - 1
-# ``right`` of a range search's two probes: its lower and its upper bound.
-_LO_HI = np.array([False, True])
 
 
-def lower_bound(
-    src: EntrySource,
-    fields,
-    probes: list[np.ndarray],
-    lo: np.ndarray,
-    hi: np.ndarray,
-    right=False,
+def search_sorted(
+    src: EntrySource, needles: np.ndarray, lo: np.ndarray, hi: np.ndarray, side: str = "left"
 ) -> np.ndarray:
-    """Per probe, the first position in ``[lo, hi)`` whose entry is not
-    below the probe, or ``hi`` if there is none (§7.1.1's binary search).
+    """Per needle, ``np.searchsorted`` of it in the entries ``[lo, hi)``
+    of the run, as a run position (§7.1.1's binary search).
 
-    Entries and probes compare by their memcmp key over ``fields``;
-    ``probes`` holds one uint64 array per field. Where ``right`` (a bool,
-    or one per probe) is set, an entry equal to the probe also counts as
-    below, as with ``np.searchsorted(side="right")``. All probes advance
-    together, each round reading the pivots of every unresolved probe in
-    one ``src.take``.
+    ``needles`` are full memcmp keys (:func:`enc.memcmp_key` over the
+    order fields). A range that crosses into a block not read yet is
+    bisected, all such needles together in one ``src.keys`` per round, so
+    a search reads about log2(blocks) blocks; once every range lies inside
+    one block, or in blocks read already, one ``searchsorted`` over them
+    finishes it.
     """
-    out = np.array(lo, dtype=np.int64)
-    span = np.asarray(hi, dtype=np.int64) - out
-    idx = (span > 0).nonzero()[0]
-    a, span = out[idx], span[idx]
-    key = enc.memcmp_key(probes)[idx, None]
-    right = np.full(out.shape, right)[idx, None]
-    wide = True
+    br = src.spec.block_rows
+    a = np.array(lo, dtype=np.int64)
+    b = np.array(hi, dtype=np.int64)
+    first, last = a // br, (b - 1) // br
+    # A range in one block needs that block alone. Reading those first
+    # lets a range over blocks read already skip its bisection: it would
+    # read no block but them.
+    src.touch(a[(first == last) & (a < b)])
+    idx = np.flatnonzero(first < last)
+    idx = idx[~src.loaded(a[idx], b[idx])]
     while len(idx):
-        # Ranges wider than a block are bisected, so a search reads about
-        # log2(blocks) blocks; spans only shrink, so once none is wide no
-        # later round is. Pivot j sits at a + (j * span) // fan.
-        wide = wide and span.max() > src.spec.block_rows
-        fan = 2 if wide else max(2, PIVOTS // len(idx))
-        piv = a[:, None] + (span[:, None] * np.arange(1, fan)) // fan
-        ent = src.take(fields, piv.ravel())
-        val = enc.memcmp_key([ent[f] for f in fields]).reshape(piv.shape)
-        below = (val < key) | (right & (val == key))
-        # Entries are sorted, so ``below`` is a prefix of each probe's
-        # pivots: the bound lies after pivot c - 1 and at or before pivot c.
-        c = below.sum(axis=1)
-        cut = (c * span) // fan + (c > 0)
-        a, span = a + cut, ((c + 1) * span) // fan - cut
-        done = span <= 0
-        if np.count_nonzero(done):
-            out[idx[done]] = a[done]
-            keep = ~done
-            idx, a, span, key, right = idx[keep], a[keep], span[keep], key[keep], right[keep]
-    return out
+        ai, bi = a[idx], b[idx]
+        m = (ai + bi) >> 1
+        k, n = src.keys(m), needles[idx]
+        below = k < n if side == "left" else k <= n
+        a[idx] = np.where(below, m + 1, ai)
+        b[idx] = np.where(below, bi, m)
+        idx = idx[a[idx] // br < (b[idx] - 1) // br]
+    return src.search_blocks(needles, a, b, side)
 
 
 def synopsis_overlaps(synopsis: dict, bounds) -> bool:
@@ -315,22 +356,28 @@ class IndexRun:
         level: int,
         gbid_lo: int,
         gbid_hi: int,
+        key: np.ndarray,
         cols: dict[str, np.ndarray],
         offset_array: np.ndarray,
         synopsis: dict[str, tuple[int, int]],
         ancestors: tuple[str, ...] = (),
     ):
+        """``key`` holds the order fields as one memcmp key per entry;
+        ``cols`` the other fields of ``spec.fields`` as uint64 columns."""
         self.spec = spec
         self.run_id = run_id
         self.zone = zone
         self.level = level
         self.gbid_lo = gbid_lo
         self.gbid_hi = gbid_hi
-        self.cols = cols  # encoded uint64 columns, keyed by spec.fields
+        self.key = key
+        # Every field by name: the order fields as big-endian uint64 views
+        # of ``key`` (no copy), then the native uint64 columns.
+        self.cols = dict(zip(spec.order_fields, enc.key_columns(key).T)) | cols
         self.offset_array = offset_array
         self.synopsis = synopsis
         self.ancestors = tuple(ancestors)
-        self.n_entries = 0 if not cols else len(next(iter(cols.values())))
+        self.n_entries = len(key)
         # Bucket i of the offset array ends where bucket i + 1 starts.
         self._bucket_end = np.append(offset_array[1:], self.n_entries)
 
@@ -384,9 +431,11 @@ class IndexRun:
         # memcmp key (447 against 537 ms at 1M entries). It sorts by its
         # *last* key first → reverse priority order.
         perm = np.lexsort([cols[f] for f in reversed(spec.order_fields)])
-        cols = {f: np.ascontiguousarray(cols[f][perm]) for f in spec.fields}
+        key = enc.memcmp_key([cols.pop(f) for f in spec.order_fields], perm)
+        cols = {f: c[perm] for f, c in cols.items()}
+        del perm
 
-        offset_array = cls._offsets(cols["h"], spec.hash_bits)
+        offset_array = np.searchsorted(key, spec.bucket_keys)
         synopsis = {}
         for name, arr in list(zip(spec.eq_cols, eq_arrays)) + list(
             zip(spec.sort_cols, sort_arrays)
@@ -403,16 +452,11 @@ class IndexRun:
             level=level,
             gbid_lo=gbid_lo,
             gbid_hi=gbid_hi,
+            key=key,
             cols=cols,
             offset_array=offset_array,
             synopsis=synopsis,
         )
-
-    @staticmethod
-    def _offsets(h_sorted: np.ndarray, bits: int) -> np.ndarray:
-        """2ⁿ-entry offset array: bucket i → first row whose top-n bits ≥ i."""
-        top = (h_sorted >> np.uint64(64 - bits)).astype(np.int64)
-        return np.searchsorted(top, np.arange(1 << bits, dtype=np.int64), side="left")
 
     # ------------------------------------------------------------ merge build
     @classmethod
@@ -436,22 +480,23 @@ class IndexRun:
         zone = runs[0].zone
         if any(r.zone != zone for r in runs):
             raise ValueError("Umzi only merges runs within the same zone (§4.3)")
-        cols = {
-            f: np.concatenate([r.cols[f] for r in runs]) for f in spec.fields
-        }
+        key = np.concatenate([r.key for r in runs])
+        cols = {f: np.concatenate([r.cols[f] for r in runs]) for f in spec.rest_fields}
         # The inputs are each sorted, which a stable argsort of one key
         # exploits. Identical entries end up adjacent, with equal keys.
-        key_fields = spec.order_fields + ("r",)
-        perm = np.argsort(enc.memcmp_key([cols[f] for f in key_fields]), kind="stable")
-        for f in spec.fields:  # one column at a time, to bound memory
+        # (np.take gathers ``S`` items more than twice as fast as indexing.)
+        full = enc.memcmp_key(list(enc.key_columns(key).T) + [cols["r"]])
+        perm = np.argsort(full, kind="stable")
+        full = np.take(full, perm)
+        keep = np.ones(len(full), dtype=bool)
+        keep[1:] = full[1:] != full[:-1]
+        del full
+        if not keep.all():
+            perm = perm[keep]
+        key = np.take(key, perm)
+        for f in cols:  # one column at a time, to bound memory
             cols[f] = cols[f][perm]
         del perm
-        key = enc.memcmp_key([cols[f] for f in key_fields])
-        keep = np.ones(len(key), dtype=bool)
-        keep[1:] = key[1:] != key[:-1]
-        del key
-        if not keep.all():
-            cols = {f: a[keep] for f, a in cols.items()}
         gbid_lo = min(r.gbid_lo for r in runs)
         gbid_hi = max(r.gbid_hi for r in runs)
         synopsis = {}
@@ -466,8 +511,9 @@ class IndexRun:
             level=level,
             gbid_lo=gbid_lo,
             gbid_hi=gbid_hi,
+            key=key,
             cols=cols,
-            offset_array=cls._offsets(cols["h"], spec.hash_bits),
+            offset_array=np.searchsorted(key, spec.bucket_keys),
             synopsis=synopsis,
         )
 
@@ -526,8 +572,10 @@ class IndexRun:
             raise ValueError("all equality columns must be specified (§7)")
         src = source or MemorySource(self)
 
-        # Lower and upper bound of (hash, eq cols…, first sort col) in one
-        # kernel call; an unbounded side takes the extreme uint64 value.
+        # The range of (hash, eq cols…, first sort col) between its bounds:
+        # the first entry not below the lower bound padded with zeros, and
+        # the first above the upper bound padded with ones. An unbounded
+        # side takes the extreme uint64 value.
         eq = tuple(int(v) for v in eq_values or ())
         h = int(enc.hash_columns([np.array([v], np.int64) for v in eq])[0]) if eq else 0
         key = [h] + [enc.ordered_scalar(v) for v in eq]
@@ -535,11 +583,13 @@ class IndexRun:
         if spec.sort_cols:
             lo_key.append(0 if sort_lo is None else enc.ordered_scalar(sort_lo[0]))
             hi_key.append(_U64_MAX if sort_hi is None else enc.ordered_scalar(sort_hi[0]))
-        probes = np.array([lo_key, hi_key], dtype=np.uint64).T
-        lo, hi = self.bucket(probes[0])
-        a, b = lower_bound(
-            src, spec.fields[: len(lo_key)], probes, lo, hi, right=_LO_HI
-        ).tolist()
+        pad = len(spec.order_fields) - len(lo_key)
+        needles = enc.memcmp_key(
+            np.array([lo_key + [0] * pad, hi_key + [_U64_MAX] * pad], dtype=np.uint64).T
+        )
+        lo, hi = self.bucket(np.array([h], np.uint64))
+        a = int(search_sorted(src, needles[:1], lo, hi, "left")[0])
+        b = int(search_sorted(src, needles[1:], lo, hi, "right")[0])
         if a >= b:
             return self._empty_result()
 
@@ -603,20 +653,27 @@ class IndexRun:
         }
 
     def block_bytes(self, i: int) -> bytes:
-        """Serialize data block i: each field's row-slice, concatenated."""
+        """Serialize data block i: the rows' memcmp keys, then each other
+        field's row-slice."""
         a = i * self.spec.block_rows
         b = min(self.n_entries, a + self.spec.block_rows)
         buf = io.BytesIO()
-        for f in self.spec.fields:
-            buf.write(np.ascontiguousarray(self.cols[f][a:b]).tobytes())
+        buf.write(self.key[a:b].tobytes())
+        for f in self.spec.rest_fields:
+            buf.write(self.cols[f][a:b].tobytes())
         return buf.getvalue()
 
     @staticmethod
-    def decode_block(spec: IndexSpec, data: bytes, rows: int) -> np.ndarray:
-        """Data block bytes → a ``(len(spec.fields), rows)`` uint64 view,
-        one row per field in ``spec.fields`` order."""
-        nf = len(spec.fields)
-        return np.frombuffer(data, np.uint64, count=nf * rows).reshape(nf, rows)
+    def decode_block(
+        spec: IndexSpec, data: bytes, rows: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Data block bytes → views of its ``rows`` memcmp keys and of its
+        other fields, a ``(len(spec.rest_fields), rows)`` uint64 matrix."""
+        width = 8 * len(spec.order_fields)
+        key = np.frombuffer(data, f"S{width}", count=rows)
+        nr = len(spec.rest_fields)
+        rest = np.frombuffer(data, np.uint64, count=nr * rows, offset=width * rows)
+        return key, rest.reshape(nr, rows)
 
     @classmethod
     def from_header_and_blocks(
@@ -625,10 +682,10 @@ class IndexRun:
         """Rebuild a fully-resident run from its persisted form (§5.5)."""
         spec = IndexSpec.from_json(header["spec"])
         n, br = header["n_entries"], spec.block_rows
-        arr = np.concatenate(
-            [cls.decode_block(spec, blk, min(br, n - i * br)) for i, blk in enumerate(blocks)],
-            axis=1,
+        keys, rests = zip(
+            *(cls.decode_block(spec, blk, min(br, n - i * br)) for i, blk in enumerate(blocks))
         )
+        rest = np.concatenate(rests, axis=1)
         return cls(
             spec,
             run_id=header["run_id"],
@@ -636,7 +693,8 @@ class IndexRun:
             level=header["level"],
             gbid_lo=header["gbid_lo"],
             gbid_hi=header["gbid_hi"],
-            cols=dict(zip(spec.fields, arr)),
+            key=np.concatenate(keys),
+            cols=dict(zip(spec.rest_fields, rest)),
             offset_array=np.asarray(header["offset_array"], dtype=np.int64),
             synopsis={k: (v[0], v[1]) for k, v in header["synopsis"].items()},
             ancestors=tuple(header["ancestors"]),

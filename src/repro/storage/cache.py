@@ -172,12 +172,14 @@ class BlockSource(EntrySource):
     """Query-side entry source reading data blocks through the cache.
 
     Each touched block is read once through :meth:`CacheManager.read_block`,
-    decoded, and copied into its slot of one
-    ``(n_blocks, len(spec.fields), block_rows)`` buffer, allocated once
-    with ``np.empty``. A gather is then one fancy index per field, whichever
-    blocks its positions fall in. Pages no block is copied into are never
+    decoded, and copied into its slot of two buffers allocated once with
+    ``np.empty``: one ``(n_blocks, block_rows)`` array of memcmp keys and
+    one ``(n_blocks, len(spec.rest_fields), block_rows)`` uint64 array of
+    the other fields. The keys come over with one copy of the block's
+    bytes. A gather is then one fancy index per field, whichever blocks
+    its positions fall in. Pages no block is copied into are never
     written, so the OS need not back them: a query's memory grows with the
-    blocks it touches, not with the run. The buffer lives only as long as
+    blocks it touches, not with the run. The buffers live only as long as
     this source (one query), matching §7: "after the query is finished, the
     cached data blocks are released".
     """
@@ -186,19 +188,50 @@ class BlockSource(EntrySource):
         super().__init__(run.spec, run.n_entries)
         self.cache = cache
         self.run_id = run.run_id
-        self._col = {f: i for i, f in enumerate(run.spec.fields)}
-        self._buf = np.empty(
-            (run.n_blocks, len(run.spec.fields), run.spec.block_rows), np.uint64
-        )
+        spec = run.spec
+        nb, br, nk = run.n_blocks, spec.block_rows, len(spec.order_fields)
+        self._key = np.empty((nb, br), f"S{8 * nk}")
+        self._kcols = self._key.view(">u8").reshape(nb, br, nk)
+        # Field -> its column in ``_kcols``, or its row in ``_buf``.
+        self._kcol = {f: i for i, f in enumerate(spec.order_fields)}
+        self._col = {f: i for i, f in enumerate(spec.rest_fields)}
+        self._buf = np.empty((nb, len(spec.rest_fields), br), np.uint64)
+
+    def search_blocks(self, needles, a, b, side):
+        # Loaded blocks sit in key order in the flat buffer: one search
+        # per group of ranges over the same blocks.
+        br = self.spec.block_rows
+        live = np.flatnonzero(a < b)
+        first, last = self.touch(a[live]), (b[live] - 1) // br
+        order = np.lexsort((last, first))
+        live, first, last = live[order], first[order], last[order]
+        new = np.flatnonzero(np.diff(first, prepend=-1) | np.diff(last, prepend=-1))
+        flat = self._key.reshape(-1)
+        out = a.copy()
+        for x, y, sel in zip(first[new].tolist(), last[new].tolist(), np.split(live, new[1:])):
+            lo, hi = x * br, min((y + 1) * br, self.n_entries)
+            out[sel] = np.searchsorted(flat[lo:hi], needles[sel], side) + lo
+        return np.clip(out, a, b)
 
     def _load(self, blocks: np.ndarray) -> None:
         br = self.spec.block_rows
         for bi in blocks.tolist():
             rows = min(br, self.n_entries - bi * br)
-            self._buf[bi, :, :rows] = IndexRun.decode_block(
+            key, rest = IndexRun.decode_block(
                 self.spec, self.cache.read_block(self.run_id, bi), rows
             )
+            self._key[bi, :rows] = key
+            self._buf[bi, :, :rows] = rest
 
     def _gather(self, fields, positions, blocks):
         offs = positions - blocks * self.spec.block_rows
-        return {f: self._buf[blocks, self._col[f], offs] for f in fields}
+        return {
+            f: self._kcols[blocks, offs, self._kcol[f]]
+            if f in self._kcol
+            else self._buf[blocks, self._col[f], offs]
+            for f in fields
+        }
+
+    def _gather_keys(self, positions, blocks):
+        # A position is its own index into the flat buffer.
+        return np.take(self._key.reshape(-1), positions)

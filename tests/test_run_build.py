@@ -144,12 +144,14 @@ def test_block_layout_and_decode(block_rows, n):
     e = make_entries(n, seed=2)
     run = build(spec, e)
     assert run.n_blocks == max(1, -(-n // block_rows))
-    # decode every block and reassemble
+    # decode every block (keys, then the other fields) and reassemble
     rebuilt = {f: [] for f in spec.fields}
     remaining = n
     for i in range(run.n_blocks):
         rows = min(block_rows, remaining)
-        d = IndexRun.decode_block(spec, run.block_bytes(i), rows)
+        key, rest = IndexRun.decode_block(spec, run.block_bytes(i), rows)
+        assert key.dtype == run.key.dtype and len(key) == rows
+        d = list(enc.key_columns(key).T) + list(rest)
         for j, f in enumerate(spec.fields):
             rebuilt[f].append(d[j])
         remaining -= rows
@@ -344,5 +346,6 @@ def test_merge_runs_matches_lexsort_reference():
     keep = np.concatenate([[True], ~same])
     assert keep.sum() == 600
     for f in spec.fields:
-        assert m.cols[f].dtype == np.uint64
+        # Order fields are big-endian views of the run's key.
+        assert m.cols[f].dtype.kind == "u" and m.cols[f].dtype.itemsize == 8
         assert np.array_equal(m.cols[f], ref[f][keep])

@@ -239,35 +239,119 @@ def test_two_sort_columns_tuple_filter():
     assert got == want
 
 
+_EXTREMES = np.array([-(2**63), -1, 0, 1, 2**63 - 1], np.int64)
+
+
 @pytest.mark.parametrize("seed", range(4))
-def test_lower_bound_matches_linear_scan(seed):
-    """The search kernel against a linear scan, over 1–4 order fields,
-    both sides, ranges narrower and wider than a block, and batches small
-    enough to split ranges many ways or large enough to bisect."""
-    from repro.core.run import lower_bound
+def test_search_sorted_matches_linear_scan(seed, tmp_path):
+    """The search kernel against a linear scan of the run's keys, through
+    a MemorySource and a BlockSource over the same run: equal positions
+    and equal touched blocks, for both sides, ranges narrower and wider
+    than a block (a sort-only index's bucket is the whole run), and keys
+    with INT64 extremes and needles ending in zero bytes."""
+    from repro.core import encoding as enc
+    from repro.core.run import search_sorted
+    from repro.storage import CacheManager, StorageHierarchy
+    from repro.storage.cache import BlockSource
 
     g = np.random.default_rng(seed)
     n = 300
-    spec = IndexSpec(eq_cols=("k",), sort_cols=("s",), hash_bits=2, block_rows=int(g.integers(4, 40)))
+    u64_max = np.uint64(2**64 - 1)
+    for hashed in (True, False):
+        spec = IndexSpec(
+            eq_cols=("k",) if hashed else (), sort_cols=("s",), hash_bits=2,
+            block_rows=int(g.integers(4, 40)),
+        )
+        eq = {"k": g.choice(_EXTREMES, n)} if hashed else {}
+        run = IndexRun.build(
+            spec, zone=GROOMED, level=0, gbid_lo=0, gbid_hi=0, eq=eq,
+            sorts={"s": g.choice(_EXTREMES, n)}, begin_ts=g.choice(_EXTREMES, n),
+            rid_zone=np.zeros(n), rid_block=np.zeros(n), rid_off=np.arange(n),
+        )
+        cm = CacheManager(StorageHierarchy(str(tmp_path / f"h{int(hashed)}")))
+        cm.write_run(run, persisted=True, cache_tier="ssd")
+        table = enc.key_columns(run.key).astype(np.uint64)
+        rows = [tuple(r) for r in table.tolist()]
+        for m in (1, 3, 200):
+            # Needles near entries: a field nudged up by one, or the fields
+            # after one padded with zeros or ones.
+            cols = table[g.integers(0, n, m)]
+            j = g.integers(0, table.shape[1], m)
+            cols[np.arange(m), j] += (g.random(m) < 0.5).astype(np.uint64)
+            for i in np.flatnonzero(g.random(m) < 0.5):
+                cols[i, j[i]:] = 0 if g.random() < 0.5 else u64_max
+            needles = enc.memcmp_key(list(cols.T))
+            lo, hi = run.bucket(cols[:, 0])
+            rand = g.random(m) < 0.5
+            lo[rand] = g.integers(0, n + 1, rand.sum())
+            hi[rand] = np.minimum(n, lo[rand] + g.integers(0, n + 1, rand.sum()))
+            for side in ("left", "right"):
+                mem, blk = MemorySource(run), BlockSource(cm, run)
+                got = search_sorted(mem, needles, lo, hi, side)
+                assert (search_sorted(blk, needles, lo, hi, side) == got).all()
+                assert (mem._touched == blk._touched).all()
+                for i in range(m):
+                    p = tuple(cols[i].tolist())
+                    want = int(lo[i])
+                    while want < hi[i] and (rows[want] < p or (side == "right" and rows[want] == p)):
+                        want += 1
+                    assert got[i] == want, (hashed, m, side, i)
+
+
+def test_run_key_is_the_order_columns_and_every_form_answers_alike(tmp_path):
+    """The order fields are views of the run's memcmp key, not copies;
+    and a run answers ``search`` and ``batch_lookup`` identically built in
+    memory, read through a BlockSource, and rebuilt from its blocks."""
+    from repro.core import query as q
+    from repro.core.index import UmziIndex
+    from repro.storage import CacheManager, StorageHierarchy
+    from repro.storage.cache import BlockSource
+
+    g = np.random.default_rng(7)
+    n = 2000
+    spec = IndexSpec(
+        eq_cols=("k",), sort_cols=("s",), include_cols=("v",), hash_bits=3, block_rows=64
+    )
     run = IndexRun.build(
         spec, zone=GROOMED, level=0, gbid_lo=0, gbid_hi=0,
-        eq={"k": g.integers(0, 4, n)}, sorts={"s": g.integers(0, 6, n)},
-        begin_ts=g.integers(0, 9, n), rid_zone=np.zeros(n), rid_block=np.zeros(n),
-        rid_off=np.arange(n),
+        eq={"k": g.integers(0, 20, n)}, sorts={"s": g.integers(0, 30, n)},
+        begin_ts=g.integers(0, 100, n), rid_zone=np.zeros(n), rid_block=np.zeros(n),
+        rid_off=np.arange(n), includes={"v": g.integers(0, 10**9, n)},
     )
-    for nfields in range(1, 5):
-        fields = spec.order_fields[:nfields]
-        rows = list(zip(*(run.cols[f].tolist() for f in fields)))
-        for m in (1, 3, 500):
-            pick = g.integers(0, n, m)
-            probes = [run.cols[f][pick] + g.integers(0, 2, m).astype(np.uint64) for f in fields]
-            lo = g.integers(0, n + 1, m)
-            hi = np.minimum(n, lo + g.integers(0, n + 1, m))
-            right = g.random(m) < 0.5
-            got = lower_bound(MemorySource(run), fields, probes, lo, hi, right=right)
-            for i in range(m):
-                p = tuple(int(x[i]) for x in probes)
-                want = int(lo[i])
-                while want < hi[i] and (rows[want] < p or (right[i] and rows[want] == p)):
-                    want += 1
-                assert got[i] == want, (nfields, m, i)
+    for f in spec.order_fields:
+        assert np.shares_memory(run.key, run.cols[f]), f
+    for f in spec.rest_fields:
+        assert not np.shares_memory(run.key, run.cols[f]), f
+
+    blocks = [run.block_bytes(i) for i in range(run.n_blocks)]
+    rebuilt = IndexRun.from_header_and_blocks(run.header_json(), blocks)
+    cm = CacheManager(StorageHierarchy(str(tmp_path)))
+    on_ssd = UmziIndex(spec, cache=cm)
+    on_ssd.add_groomed_run(run)
+    assert isinstance(on_ssd.source_for(run), BlockSource)
+    indexes = [UmziIndex(spec), on_ssd, UmziIndex(spec)]
+    indexes[0].add_groomed_run(run)
+    indexes[2].add_groomed_run(rebuilt)
+    forms = [(run, None), (run, BlockSource(cm, run)), (rebuilt, None)]
+
+    def searches(r, source):
+        return [
+            r.search((k,), lo, hi, ts, source=source)
+            for k, lo, hi, ts in [(3, (5,), (20,), 60), (7, None, None, 99), (0, (29,), None, 10)]
+        ]
+
+    probes = g.integers(0, 32, (2, 300))  # some keys miss
+
+    def lookups(index):
+        out = q.batch_lookup(index, [probes[0]], [probes[1]], 50)
+        order = np.lexsort([out["s"], out["k"]])
+        return {c: a[order].tolist() for c, a in out.items()}
+
+    want = searches(*forms[0])
+    for r, source in forms[1:]:
+        for a, b in zip(searches(r, source), want):
+            assert {c: v.tolist() for c, v in a.items()} == {c: v.tolist() for c, v in b.items()}
+    want = lookups(indexes[0])
+    assert 0 < len(want["k"]) < 300
+    for index in indexes[1:]:
+        assert lookups(index) == want
