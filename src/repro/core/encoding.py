@@ -81,20 +81,18 @@ def ordered_scalar(v: int) -> int:
     return v + (1 << 63)
 
 
-def memcmp_key(cols, rows=None) -> np.ndarray:
+def memcmp_key(cols) -> np.ndarray:
     """The memcmp-comparable key of each row of order-encoded uint64
-    ``cols`` (§4.2), or of ``rows`` of them if given: the columns written
-    big-endian, side by side, as one fixed-width ``S{8 * len(cols)}``
-    array.
+    ``cols`` (§4.2): the columns written big-endian, side by side, as one
+    fixed-width ``S{8 * len(cols)}`` array.
 
     numpy compares ``S`` values of one width bytewise, so ``<``, ``==``
     and ``argsort`` on the key follow the columns' lexicographic order.
     (``S`` scalars drop trailing NUL bytes: compare whole arrays.)
     """
-    shape = np.shape(cols[0] if rows is None else rows)
-    buf = np.empty(shape + (len(cols),), dtype=">u8")
+    buf = np.empty(np.shape(cols[0]) + (len(cols),), dtype=">u8")
     for j, c in enumerate(cols):
-        buf[..., j] = c if rows is None else c[rows]
+        buf[..., j] = c
     return buf.view(f"S{8 * len(cols)}")[..., 0]
 
 

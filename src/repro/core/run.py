@@ -431,7 +431,7 @@ class IndexRun:
         # memcmp key (447 against 537 ms at 1M entries). It sorts by its
         # *last* key first → reverse priority order.
         perm = np.lexsort([cols[f] for f in reversed(spec.order_fields)])
-        key = enc.memcmp_key([cols.pop(f) for f in spec.order_fields], perm)
+        key = enc.memcmp_key([cols.pop(f)[perm] for f in spec.order_fields])
         cols = {f: c[perm] for f, c in cols.items()}
         del perm
 
