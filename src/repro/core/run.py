@@ -483,20 +483,21 @@ class IndexRun:
         key = np.concatenate([r.key for r in runs])
         cols = {f: np.concatenate([r.cols[f] for r in runs]) for f in spec.rest_fields}
         # The inputs are each sorted, which a stable argsort of one key
-        # exploits. Identical entries end up adjacent, with equal keys.
-        # (np.take gathers ``S`` items more than twice as fast as indexing.)
+        # exploits. Identical entries end up adjacent, with equal keys and
+        # RIDs. (np.take gathers ``S`` items more than twice as fast as
+        # indexing.)
         full = enc.memcmp_key(list(enc.key_columns(key).T) + [cols["r"]])
         perm = np.argsort(full, kind="stable")
-        full = np.take(full, perm)
-        keep = np.ones(len(full), dtype=bool)
-        keep[1:] = full[1:] != full[:-1]
         del full
-        if not keep.all():
-            perm = perm[keep]
         key = np.take(key, perm)
         for f in cols:  # one column at a time, to bound memory
             cols[f] = cols[f][perm]
         del perm
+        keep = np.ones(len(key), dtype=bool)
+        keep[1:] = (key[1:] != key[:-1]) | (cols["r"][1:] != cols["r"][:-1])
+        if not keep.all():
+            key = key[keep]
+            cols = {f: c[keep] for f, c in cols.items()}
         gbid_lo = min(r.gbid_lo for r in runs)
         gbid_hi = max(r.gbid_hi for r in runs)
         synopsis = {}
@@ -610,7 +611,7 @@ class IndexRun:
         # recent visible version of its key exactly when it is kept and the
         # entry before it is not a kept version of the same key.
         if b - a > 1:
-            key = enc.memcmp_key([sub[f] for f in spec.fields[1 : 1 + len(spec.key_cols)]])
+            key = enc.key_prefix(src.keys(np.arange(a, b)), len(spec.order_fields) - 1)
             keep[1:] &= ~(keep[:-1] & (key[1:] == key[:-1]))
         return self._decode(sub, keep.nonzero()[0])
 

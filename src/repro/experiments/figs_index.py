@@ -8,8 +8,7 @@ Scale-down vs the paper (documented in EXPERIMENTS.md): run sizes sweep
 Each cell is compute wall clock plus the virtual I/O of the paper's
 setup, where every run is cached on the local SSD (§8.3). Results keep the
 two apart (``wall_seconds``, ``io_seconds``); the normalized rows use
-their sum. A cell keeps its best of several timings, taken in passes
-over all of a sweep's cells rather than back to back.
+their sum.
 """
 from __future__ import annotations
 
@@ -28,36 +27,22 @@ DEFNS = ("I1", "I2", "I3")
 QMODES = ("sequential", "random")
 
 
-def _timeit(fn) -> tuple[float, float]:
-    """One run of ``fn``: its (compute wall clock, virtual SSD block-read
-    time), kept apart.
+def _timeit(fn, repeats: int = 3) -> tuple[float, float]:
+    """Best of N runs of ``fn``: its (compute wall clock, virtual SSD
+    block-read time), kept apart; the best run has the smallest sum.
 
     The virtual component models the paper's setup where every run is
     cached on the local SSD and queries pay one read per index data block
     touched (amortized within a batch) — see ``run.MemorySource``.
     """
-    with capture_io() as cap:
-        t0 = time.perf_counter()
-        fn()
-        wall = time.perf_counter() - t0
-    return wall, cap.seconds
-
-
-def _best_of_passes(cells, passes: int = 3) -> dict:
-    """Each cell's best :func:`_timeit` (smallest sum) over ``passes``
-    passes. ``cells(p)`` yields the ``(key, fn)`` of every cell timed in
-    pass ``p``; each ``fn`` is timed as it is yielded.
-
-    A pass times every cell before the next pass starts, so a slow spell
-    of a shared host spoils one timing of many cells rather than every
-    timing of one cell.
-    """
-    best: dict = {}
-    for p in range(passes):
-        for key, fn in cells(p):
-            t = _timeit(fn)
-            if key not in best or sum(t) < sum(best[key]):
-                best[key] = t
+    best = (float("inf"), 0.0)
+    for _ in range(repeats):
+        with capture_io() as cap:
+            t0 = time.perf_counter()
+            fn()
+            wall = time.perf_counter() - t0
+        if wall + cap.seconds < sum(best):
+            best = (wall, cap.seconds)
     return best
 
 
@@ -74,26 +59,23 @@ def _repeats_for(n: int) -> int:
     return 5 if n <= 10_000 else (3 if n <= 100_000 else 1)
 
 
-
 # ------------------------------------------------------------------- Figure 8
 def fig08(sizes=DEFAULT_SIZES, defns=DEFNS, seed: int = 0) -> dict:
     """Index-run build time vs #entries per definition, normalized to
     I1 @ smallest size (paper Fig. 8)."""
-    # Wide key space ≈ the paper's random 8-byte longs: both split
-    # columns keep high cardinality at every run size.
-    keys = {
-        n: ingest_keys(n, mode="random", seed=seed, key_space=max(2_000, n * defs.SPLIT))
-        for n in sizes
-    }
-
-    def cells(p):
-        for defn in defns:
-            spec = defs.make_spec(defn)
-            for n in sizes:
-                if p < _repeats_for(n):
-                    yield (defn, n), lambda: defs.build_run(spec, defn, keys[n], gbid=0)
-
-    raw = _best_of_passes(cells, max(map(_repeats_for, sizes)))
+    raw: dict[tuple[str, int], tuple[float, float]] = {}
+    for defn in defns:
+        spec = defs.make_spec(defn)
+        for n in sizes:
+            # Wide key space ≈ the paper's random 8-byte longs: both split
+            # columns keep high cardinality at every run size.
+            keys = ingest_keys(
+                n, mode="random", seed=seed, key_space=max(2_000, n * defs.SPLIT)
+            )
+            raw[(defn, n)] = _timeit(
+                lambda: defs.build_run(spec, defn, keys, gbid=0),
+                repeats=_repeats_for(n),
+            )
     t = {k: sum(v) for k, v in raw.items()}
     base = t[("I1", sizes[0])]
     rows = [{"n": n, **{d: t[(d, n)] / base for d in defns}} for n in sizes]
@@ -104,22 +86,20 @@ def fig08(sizes=DEFAULT_SIZES, defns=DEFNS, seed: int = 0) -> dict:
 def fig09(sizes=DEFAULT_SIZES, defns=DEFNS, batch: int = 1000, seed: int = 0) -> dict:
     """Single-run batched lookups, sequential vs random query batches,
     normalized to sequential I1 @ smallest size (paper Fig. 9a/9b)."""
-    def cells(p):
-        # A pass rebuilds its indexes: holding every one across passes
-        # would take the memory of all sizes at once.
-        for defn in defns:
-            for n in sizes:
-                if p >= _repeats_for(n):
-                    continue
-                index = defs.make_index(defn)
-                keys = ingest_keys(n, mode="sequential")
-                index.groomed.prepend(RunHandle(defs.build_run(index.spec, defn, keys, gbid=0)))
-                for qmode in QMODES:
-                    qk = query_keys(batch, mode=qmode, key_space=n, seed=seed)
-                    eq_p, sort_p = defs.probes_for(defn, qk)
-                    yield (qmode, defn, n), lambda: q.batch_lookup(index, eq_p, sort_p, 2**62)
-
-    raw = _best_of_passes(cells, max(map(_repeats_for, sizes)))
+    raw: dict[tuple[str, str, int], tuple[float, float]] = {}
+    for defn in defns:
+        for n in sizes:
+            index = defs.make_index(defn)
+            keys = ingest_keys(n, mode="sequential")
+            run = defs.build_run(index.spec, defn, keys, gbid=0)
+            index.groomed.prepend(RunHandle(run))
+            for qmode in QMODES:
+                qk = query_keys(batch, mode=qmode, key_space=n, seed=seed)
+                eq_p, sort_p = defs.probes_for(defn, qk)
+                raw[(qmode, defn, n)] = _timeit(
+                    lambda: q.batch_lookup(index, eq_p, sort_p, 2**62),
+                    repeats=_repeats_for(n),
+                )
     t = {k: sum(v) for k, v in raw.items()}
     base = t[("sequential", "I1", sizes[0])]
     tables = {}
@@ -179,19 +159,12 @@ def fig10_11_batch(
     random query batches; normalized to sequential @ batch=1. The raw
     seconds are per batch."""
     index, total = _build_multi_run_index(defn, n_runs, run_size, ingest_mode, seed=seed)
-    probes = {
-        (qmode, b): defs.probes_for(
-            defn, query_keys(b, mode=qmode, key_space=total, seed=seed + b)
-        )
-        for qmode in QMODES
-        for b in batches
-    }
-
-    def cells(p):
-        for key, (eq_p, sort_p) in probes.items():
-            yield key, lambda: q.batch_lookup(index, eq_p, sort_p, 2**62)
-
-    raw = _best_of_passes(cells)
+    raw: dict[tuple[str, int], tuple[float, float]] = {}
+    for qmode in QMODES:
+        for b in batches:
+            qk = query_keys(b, mode=qmode, key_space=total, seed=seed + b)
+            eq_p, sort_p = defs.probes_for(defn, qk)
+            raw[(qmode, b)] = _timeit(lambda: q.batch_lookup(index, eq_p, sort_p, 2**62))
     # per-key time (paper's y-axis)
     t = {(m, b): sum(v) / b for (m, b), v in raw.items()}
     return _panel("batch", batches, raw, t)
@@ -208,16 +181,13 @@ def fig10_11_runs(
 ) -> dict:
     """(b) panels: batch lookup time vs #runs; normalized to sequential
     @ 1 run."""
-    def cells(p):
-        # A pass rebuilds its indexes, as in fig09.
-        for nr in run_counts:
-            index, total = _build_multi_run_index(defn, nr, run_size, ingest_mode, seed=seed)
-            for qmode in QMODES:
-                qk = query_keys(batch, mode=qmode, key_space=total, seed=seed + nr)
-                eq_p, sort_p = defs.probes_for(defn, qk)
-                yield (qmode, nr), lambda: q.batch_lookup(index, eq_p, sort_p, 2**62)
-
-    raw = _best_of_passes(cells)
+    raw: dict[tuple[str, int], tuple[float, float]] = {}
+    for nr in run_counts:
+        index, total = _build_multi_run_index(defn, nr, run_size, ingest_mode, seed=seed)
+        for qmode in QMODES:
+            qk = query_keys(batch, mode=qmode, key_space=total, seed=seed + nr)
+            eq_p, sort_p = defs.probes_for(defn, qk)
+            raw[(qmode, nr)] = _timeit(lambda: q.batch_lookup(index, eq_p, sort_p, 2**62))
     return _panel("runs", run_counts, raw, {k: sum(v) for k, v in raw.items()})
 
 
@@ -241,7 +211,7 @@ def fig10_11_scan(
         defn, n_runs, run_size, ingest_mode, split=split, seed=seed
     )
     g = np.random.default_rng(seed)
-    bounds = {}
+    raw: dict[tuple[str, int], tuple[float, float]] = {}
     for qmode in QMODES:
         for r in ranges:
             # Range = one equality value (c1), sort col c2 in [lo, lo+r).
@@ -249,14 +219,12 @@ def fig10_11_scan(
                 start = 0
             else:
                 start = int(g.integers(0, max(1, min(total, split) - r)))
+            c1 = start // split
             lo = start % split
-            bounds[(qmode, r)] = ((start // split,), (lo,), (min(lo + r - 1, split - 1),))
-
-    def cells(p):
-        for key, b in bounds.items():
-            yield key, lambda: q.range_scan(index, *b, 2**62, method="pq")
-
-    raw = _best_of_passes(cells)
+            hi = min(lo + r - 1, split - 1)
+            raw[(qmode, r)] = _timeit(
+                lambda: q.range_scan(index, (c1,), (lo,), (hi,), 2**62, method="pq")
+            )
     return _panel("range", ranges, raw, {k: sum(v) for k, v in raw.items()})
 
 

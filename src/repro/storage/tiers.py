@@ -139,9 +139,7 @@ class DirTier:
     Keys may contain ``/``; they map to files under ``root``. Writes are
     write-once (append-only semantics of shared storage, §1): putting an
     existing key raises unless it was deleted first. ``overwrite`` is the
-    explicit atomic replace for metadata keys. The bytes stored are
-    counted once at start and then kept up to date by every write and
-    delete, so only changes made through this object are seen.
+    explicit atomic replace for metadata keys.
     """
 
     def __init__(self, name: str, root: str, stats: IOStats, latency: TierLatency):
@@ -151,9 +149,6 @@ class DirTier:
         self._latency = latency
         self._lock = threading.Lock()
         os.makedirs(root, exist_ok=True)
-        self._used = sum(
-            os.path.getsize(os.path.join(d, fn)) for d, _, files in os.walk(root) for fn in files
-        )
 
     def _path(self, key: str) -> str:
         p = os.path.normpath(os.path.join(self.root, key))
@@ -168,13 +163,11 @@ class DirTier:
                 raise FileExistsError(
                     f"{self.name} tier is append-only; {key} already exists"
                 )
-            old = os.path.getsize(p) if replace and os.path.exists(p) else 0
             os.makedirs(os.path.dirname(p), exist_ok=True)
             tmp = p + ".tmp"
             with open(tmp, "wb") as f:
                 f.write(data)
             os.replace(tmp, p)
-            self._used += len(data) - old
         self._stats.charge_write(self.name, len(data), self._latency)
 
     def put(self, key: str, data: bytes) -> None:
@@ -199,7 +192,6 @@ class DirTier:
         p = self._path(key)
         with self._lock:
             if os.path.exists(p):
-                self._used -= os.path.getsize(p)
                 os.remove(p)
 
     def delete_dir(self, prefix: str) -> None:
@@ -228,14 +220,16 @@ class DirTier:
         return sorted(out)
 
     def used_bytes(self) -> int:
-        return self._used
+        total = 0
+        for dirpath, _dirs, files in os.walk(self.root):
+            for fn in files:
+                total += os.path.getsize(os.path.join(dirpath, fn))
+        return total
 
     def wipe(self) -> None:
         """Remove everything (crash simulation for recovery tests)."""
-        with self._lock:
-            shutil.rmtree(self.root, ignore_errors=True)
-            os.makedirs(self.root, exist_ok=True)
-            self._used = 0
+        shutil.rmtree(self.root, ignore_errors=True)
+        os.makedirs(self.root, exist_ok=True)
 
 
 class StorageHierarchy:

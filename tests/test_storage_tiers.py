@@ -1,5 +1,4 @@
 """Storage tiers and the virtual I/O clock — paper §6 substrate."""
-import os
 import threading
 
 import pytest
@@ -128,41 +127,6 @@ def test_used_bytes(hier):
     hier.ssd.put("a", b"x" * 10)
     hier.ssd.put("b", b"x" * 20)
     assert hier.ssd.used_bytes() == 30
-
-
-def test_used_bytes_tracks_a_directory_walk(hier):
-    """The running count equals a walk of the directory after puts,
-    overwrites (larger and smaller), deletes (also of a missing key) and a
-    wipe; a tier opened over a filled directory starts from its bytes."""
-    tier = hier.shared
-
-    def walked():
-        return sum(
-            os.path.getsize(os.path.join(d, fn))
-            for d, _, files in os.walk(tier.root)
-            for fn in files
-        )
-
-    steps = [
-        lambda: tier.put("runs/a/header", b"h" * 7),
-        lambda: tier.put("runs/a/block.0", b"x" * 100),
-        lambda: tier.overwrite("meta", b"m" * 30),
-        lambda: tier.overwrite("meta", b"m" * 50),
-        lambda: tier.overwrite("meta", b"m" * 5),
-        lambda: tier.delete("runs/a/block.0"),
-        lambda: tier.delete("runs/a/missing"),
-        lambda: tier.put("runs/b/block.0", b"y" * 64),
-    ]
-    for step in steps:
-        step()
-        assert tier.used_bytes() == walked()
-    assert walked() == 7 + 5 + 64
-    reopened = DirTier("shared", tier.root, IOStats(), SHARED_LATENCY)
-    assert reopened.used_bytes() == walked()
-    tier.wipe()
-    assert tier.used_bytes() == walked() == 0
-    tier.put("c", b"z" * 3)
-    assert tier.used_bytes() == walked() == 3
 
 
 def test_custom_latency_model():
