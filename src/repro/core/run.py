@@ -594,7 +594,10 @@ class IndexRun:
         if a >= b:
             return self._empty_result()
 
-        sub = src.take(spec.fields[1:], np.arange(a, b))
+        # The order fields as views of the range's keys, then the others.
+        pos = np.arange(a, b)
+        keys = src.keys(pos)
+        sub = dict(zip(spec.order_fields, enc.key_columns(keys).T)) | src.take(spec.rest_fields, pos)
 
         # Timestamp predicate: beginTS <= queryTS ⇔ inverted-ts >= inv(qts).
         keep = sub["t"] >= np.uint64(_U64_MAX ^ enc.ordered_scalar(query_ts))
@@ -611,7 +614,7 @@ class IndexRun:
         # recent visible version of its key exactly when it is kept and the
         # entry before it is not a kept version of the same key.
         if b - a > 1:
-            key = enc.key_prefix(src.keys(np.arange(a, b)), len(spec.order_fields) - 1)
+            key = enc.key_prefix(keys, len(spec.order_fields) - 1)
             keep[1:] &= ~(keep[:-1] & (key[1:] == key[:-1]))
         return self._decode(sub, keep.nonzero()[0])
 
