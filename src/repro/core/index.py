@@ -13,7 +13,11 @@ from __future__ import annotations
 
 import json
 import threading
+import weakref
+from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -54,10 +58,22 @@ class QuerySnapshot:
     writer ordering of §5.4 (add PG run → bump covered → GC) this order
     guarantees no key version is ever missing, and at worst duplicates
     appear — which reconciliation removes (§5.4).
+
+    A snapshot also pins its runs' blocks: a run GC'd while it is held
+    keeps them until it is released (``release()``, or the end of a
+    ``with`` block over it; dropping the last reference to it is a late
+    release).
     """
 
     covered_gbid: int
     runs: tuple[RunHandle, ...] = field(default_factory=tuple)  # newest-first
+    release: Callable[[], None] = field(default=lambda: None, repr=False, compare=False)
+
+    def __enter__(self) -> "QuerySnapshot":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.release()
 
 
 class UmziIndex:
@@ -90,6 +106,17 @@ class UmziIndex:
             max_level=self.config.pg_max_level,
         )
         self._maint_lock = threading.Lock()  # serializes maintain()/evolve()
+        # Reclamation epochs (epoch-based reclamation, Fraser 2004; cf.
+        # RocksDB's SuperVersion reference count). Each retire of GC'd runs
+        # starts a new epoch; a snapshot pins the epoch it was taken in.
+        self._epoch_lock = threading.Lock()
+        self._epoch = 0
+        self._pins: dict[int, int] = {}  # epoch -> snapshots still held
+        self._retired: list[tuple] = []  # (epoch, runs, delete) not run yet
+        # Epochs of released snapshots not yet taken off ``_pins``. A
+        # release appends without the lock, so a snapshot collected while
+        # ``_epoch_lock`` is held cannot deadlock.
+        self._unpinned: deque[int] = deque()
 
     # ------------------------------------------------------------- run intake
     def add_groomed_run(self, run: IndexRun) -> None:
@@ -113,6 +140,8 @@ class UmziIndex:
         else:
             tier = "ssd" if run.level <= self.cache_level else "none"
         self.cache.write_run(run, persisted=not nonp, cache_tier=tier)
+        if not nonp:
+            run.drop_entries()  # its header locates its blocks from now on
 
     # ------------------------------------------------------------ maintenance
     def maintain(self) -> list[MergeEvent]:
@@ -120,6 +149,9 @@ class UmziIndex:
         each swap and GC after (§5.3, §6.1)."""
         with self._maint_lock:
             events: list[MergeEvent] = []
+            # A merge reads its header-only inputs once per block, and does
+            # not cache them on the way: they are GC'd right after.
+            read = None if self.cache is None else partial(self.cache.read_block, fill=False)
             for policy, chain in (
                 (self._g_policy, self.groomed),
                 (self._pg_policy, self.postgroomed),
@@ -128,6 +160,7 @@ class UmziIndex:
                     chain,
                     before_swap=self._persist_merged,
                     after_swap=self._gc_merged,
+                    read_block=read,
                 )
             return events
 
@@ -150,13 +183,11 @@ class UmziIndex:
     def _gc_merged(self, ev: MergeEvent) -> None:
         if self.cache is None:
             return
-        new_nonp = ev.new_run.level in self.config.nonpersisted_levels
-        for r in ev.merged:
-            if new_nonp:
-                # ancestors stay on shared storage; only local copies die
-                self.cache.delete_run(r.run_id, from_shared=False)
-            else:
-                self._delete_replaced(r)
+        if ev.new_run.level in self.config.nonpersisted_levels:
+            # ancestors stay on shared storage; only local copies die
+            self._retire(ev.merged, lambda r: self.cache.delete_run(r.run_id, from_shared=False))
+        else:
+            self._retire(ev.merged, self._delete_replaced)
 
     def _delete_replaced(self, run: IndexRun) -> None:
         """GC a run whose entries now live in a persisted run: the run
@@ -197,8 +228,7 @@ class UmziIndex:
             if obsolete:
                 self.groomed.remove(obsolete)
                 if self.cache is not None:
-                    for h in obsolete:
-                        self._delete_replaced(h.run)
+                    self._retire([h.run for h in obsolete], self._delete_replaced)
 
     @property
     def pg_covered_gbid(self) -> int:
@@ -220,29 +250,59 @@ class UmziIndex:
 
     # ----------------------------------------------------------- query façade
     def query_snapshot(self) -> QuerySnapshot:
-        """Reader-side snapshot; ordering rationale in QuerySnapshot doc."""
+        """Reader-side snapshot, pinned until released; ordering rationale
+        in QuerySnapshot doc."""
+        with self._epoch_lock:  # pin before reading the chains
+            epoch = self._epoch
+            self._pins[epoch] = self._pins.get(epoch, 0) + 1
         covered = self._pg_covered_gbid  # (1)
         pg = self.postgroomed.snapshot()  # (2)
         groomed = self.groomed.snapshot()  # (3)
         visible_groomed = tuple(h for h in groomed if h.gbid_hi > covered)
-        return QuerySnapshot(covered_gbid=covered, runs=visible_groomed + pg)
+        snap = QuerySnapshot(covered_gbid=covered, runs=visible_groomed + pg)
+        unpin = weakref.finalize(snap, self._unpinned.append, epoch)
+        unpin.atexit = False
+        snap.release = partial(self._release, unpin)
+        return snap
+
+    def _release(self, unpin) -> None:
+        unpin()  # once: a second call does nothing
+        self._reclaim()
+
+    def _retire(self, runs: list[IndexRun], delete: Callable[[IndexRun], None]) -> None:
+        """``delete`` each of ``runs``, just swapped out of a chain, once
+        every snapshot that may still read them is released."""
+        with self._epoch_lock:
+            self._epoch += 1
+            self._retired.append((self._epoch, runs, delete))
+        self._reclaim()
+
+    def _reclaim(self) -> None:
+        """Delete the retired runs that no held snapshot predates."""
+        with self._epoch_lock:
+            while self._unpinned:
+                e = self._unpinned.popleft()
+                self._pins[e] -= 1
+                if not self._pins[e]:
+                    del self._pins[e]
+            # A snapshot pinned in an epoch before a retire's may hold its
+            # runs; one pinned since was taken after they left the chain.
+            oldest = min(self._pins, default=self._epoch)
+            due = [r for r in self._retired if r[0] <= oldest]
+            self._retired = [r for r in self._retired if r[0] > oldest]
+        for _epoch, runs, delete in due:
+            for run in runs:
+                delete(run)
 
     def source_for(self, run: IndexRun):
         """Entry source for one query of a run. Both kinds serve the same
         search kernel and charge each data block the query touches once:
-        the run's own columns when its blocks are (simulated-)memory-
-        resident or no hierarchy is attached, each touched block charged
-        as one modelled SSD read; else the blocks themselves, read through
-        the cache with real tier charges (§7)."""
-        if self.cache is None:
-            return MemorySource(run)
-        try:
-            st = self.cache.state(run.run_id)
-        except KeyError:
-            return MemorySource(run)
-        if st.local == "mem":
-            return MemorySource(run)
-        return BlockSource(self.cache, run)
+        a resident run's own columns (no hierarchy attached, or a
+        non-persisted level), each touched block charged as one modelled
+        SSD read; else the blocks themselves, read through the cache with
+        real tier charges (§7). A GC'd run's blocks outlive every
+        snapshot that holds it."""
+        return MemorySource(run) if run.resident else BlockSource(self.cache, run)
 
     # ------------------------------------------------------- cache management
     def apply_cache_level(self, level: int) -> None:
@@ -281,14 +341,14 @@ class UmziIndex:
 
     # ---------------------------------------------------------------- stats
     def describe(self) -> dict:
-        snap = self.query_snapshot()
-        return {
-            "groomed_runs": len(self.groomed.snapshot()),
-            "postgroomed_runs": len(self.postgroomed.snapshot()),
-            "visible_runs": len(snap.runs),
-            "covered_gbid": snap.covered_gbid,
-            "entries": int(sum(h.run.n_entries for h in snap.runs)),
-            "levels": sorted(
-                {h.level for h in self.groomed.snapshot() + self.postgroomed.snapshot()}
-            ),
-        }
+        with self.query_snapshot() as snap:
+            return {
+                "groomed_runs": len(self.groomed.snapshot()),
+                "postgroomed_runs": len(self.postgroomed.snapshot()),
+                "visible_runs": len(snap.runs),
+                "covered_gbid": snap.covered_gbid,
+                "entries": int(sum(h.run.n_entries for h in snap.runs)),
+                "levels": sorted(
+                    {h.level for h in self.groomed.snapshot() + self.postgroomed.snapshot()}
+                ),
+            }

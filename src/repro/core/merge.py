@@ -63,6 +63,7 @@ class MergePolicy:
         chain: ZoneList,
         before_swap: Callable[[MergeEvent], None],
         after_swap: Callable[[MergeEvent], None],
+        read_block: Callable[[str, int], bytes] | None = None,
     ) -> list[MergeEvent]:
         """Run the policy to quiescence; returns the merges performed.
 
@@ -70,6 +71,7 @@ class MergePolicy:
         becomes visible (the paper writes the new run to storage first);
         ``after_swap`` fires once the chain points at the new run, which
         is when the old runs may be garbage-collected (§5.3).
+        ``read_block`` reads the data blocks of header-only inputs.
         """
         events: list[MergeEvent] = []
         progressed = True
@@ -104,7 +106,7 @@ class MergePolicy:
                 # runs of level L sit directly above level L+1's active run.
                 victims_sorted = [h for h in snap if h in victims]
                 new_run = IndexRun.merge_runs(
-                    [h.run for h in victims_sorted], level=lvl + 1
+                    [h.run for h in victims_sorted], level=lvl + 1, read_block=read_block
                 )
                 new_handle = RunHandle(new_run, active=True)
                 ev = MergeEvent(

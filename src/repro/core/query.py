@@ -80,11 +80,12 @@ def range_scan(
     """
     if method not in ("set", "pq"):
         raise ValueError(f"unknown reconciliation method {method!r}")
-    parts = [
-        h.run.search(eq_values, sort_lo, sort_hi, query_ts, source=index.source_for(h.run))
-        for h in index.query_snapshot().runs  # newest-first
-        if h.run.synopsis_admits(eq_values, sort_lo, sort_hi)
-    ]
+    with index.query_snapshot() as snap:
+        parts = [
+            h.run.search(eq_values, sort_lo, sort_hi, query_ts, source=index.source_for(h.run))
+            for h in snap.runs  # newest-first
+            if h.run.synopsis_admits(eq_values, sort_lo, sort_hi)
+        ]
     return reconcile(index.spec, parts, method)
 
 
@@ -124,7 +125,8 @@ def batch_lookup(
 
     ``runs`` overrides the candidate run list (newest-first); the
     post-groomer uses this to consult only the post-groomed portion of
-    the index when collecting to-be-replaced RIDs (§2.1/§5.4).
+    the index when collecting to-be-replaced RIDs (§2.1/§5.4). Its caller
+    holds the snapshot they come from.
     """
     spec = index.spec
     eq = [np.asarray(p, np.int64) for p in eq_probes]
@@ -142,10 +144,17 @@ def batch_lookup(
     tq = enc.invert_ts(enc.to_ordered_u64(np.full(nprobe, query_ts, np.int64)))
     needles = enc.memcmp_key([h] + [enc.to_ordered_u64(c) for c in eq + sort] + [tq])
 
-    found = np.zeros(nprobe, dtype=bool)
+    if runs is not None:
+        return _lookup_runs(index, runs, needles, eq)
+    with index.query_snapshot() as snap:
+        return _lookup_runs(index, snap.runs, needles, eq)
+
+
+def _lookup_runs(index, runs, needles, eq):
+    """Search ``runs`` newest→oldest for the pending probes (§7.2)."""
+    found = np.zeros(len(needles), dtype=bool)
     parts: list[dict[str, np.ndarray]] = []
-    candidates = index.query_snapshot().runs if runs is None else tuple(runs)
-    for hd in candidates:
+    for hd in runs:
         pending = np.flatnonzero(~found)
         if not len(pending):
             break
@@ -158,7 +167,7 @@ def batch_lookup(
         if res is not None:
             parts.append(res)
         found[pending[hit]] = True
-    return _concat(spec, parts)
+    return _concat(index.spec, parts)
 
 
 def _batch_in_run(index, run: IndexRun, needles):

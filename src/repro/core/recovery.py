@@ -23,7 +23,9 @@ the listing; the plan then starts over rather than leave the run out,
 since the run that replaced it may be missing from the listing.
 
 :func:`recover` deletes the drops, rebuilds both chains from the kept
-runs and restores the covered-gbid / IndexedPSN state. Runs in
+runs' headers — header-only runs, whose blocks queries fetch on demand, so
+recovery reads no data block — and restores the covered-gbid /
+IndexedPSN state. Runs in
 non-persisted levels are lost by design; their persisted ancestors
 (recorded in run headers before any non-persisted merge, §6.1) are
 exactly what the plan keeps, so no index run ever needs rebuilding from
@@ -68,7 +70,8 @@ def list_headers(tier) -> list[dict]:
 
 
 def read_run(tier, header: dict) -> IndexRun:
-    """A fully resident run from its header and its data blocks on ``tier``."""
+    """A fully resident run from its header and its data blocks on ``tier``
+    (the Spark ``umzi`` reader, whose tasks hold no cache)."""
     blocks = [tier.get(_block_key(header["run_id"], i)) for i in range(header["n_blocks"])]
     return IndexRun.from_header_and_blocks(header, blocks)
 
@@ -124,10 +127,11 @@ def recover(
         (index.postgroomed, index._pg_policy),
     ):
         # Register each kept run with the cache (blocks still on shared
-        # storage only) and rebuild the chain in one atomic swap.
+        # storage only), as a header-only run from the header the plan
+        # read, and rebuild the chain in one atomic swap.
         handles = []
         for h in plan.keep[chain.zone]:
-            run = read_run(shared, h)
+            run = IndexRun.from_header(h)
             cache.register_shared_run(h)
             if run.level == policy.min_level:
                 policy.note_new_run(run)

@@ -6,7 +6,9 @@ An index run is logically a sorted table of
 
 physically stored as one **header block** (metadata, the groomed-block-ID
 range this run covers, a per-key-column min/max **synopsis**, and a
-2ⁿ-entry **hash offset array**) plus fixed-size **data blocks**.
+2ⁿ-entry **hash offset array**) plus fixed-size **data blocks**. An
+:class:`IndexRun` always holds its header, and its entries only while it
+is resident; a persisted run is read block by block through its cache.
 
 All ordering columns are kept in order-preserving uint64 encodings
 (:mod:`repro.core.encoding`) and stored side by side, big-endian, as one
@@ -239,10 +241,11 @@ class EntrySource:
         done = np.cumsum(self._touched)  # blocks loaded up to each block
         return done[last] - done[first] + self._touched[first] == last - first + 1
 
-    def search_blocks(self, needles, a, b, side: str) -> np.ndarray:
+    def search_blocks(self, needles, a, b, right: np.ndarray) -> np.ndarray:
         """:func:`search_sorted` once each non-empty ``[a, b)`` lies in
         one block or in loaded blocks: the first block of each range is
-        touched, and every range searched."""
+        touched, and every range searched, on the right side where
+        ``right`` (one bool per needle), else on the left."""
         raise NotImplementedError
 
     def _load(self, blocks: np.ndarray) -> None:
@@ -261,18 +264,27 @@ class EntrySource:
 class MemorySource(EntrySource):
     """Entries fully resident in the run's key and columns; a block's
     first touch charges one modelled SSD read to the ambient
-    ``capture_io`` scope."""
+    ``capture_io`` scope.
+
+    Only a run resident by configuration has them: one of an index with no
+    storage hierarchy (the §8.3 microbenchmarks), one at a non-persisted
+    level (§6.1), or one read whole from shared storage."""
 
     def __init__(self, run: "IndexRun"):
+        if not run.resident:
+            raise ValueError(f"run {run.run_id} is header-only: read it through its cache")
         super().__init__(run.spec, run.n_entries)
         self.key = run.key
         self.cols = run.cols
 
-    def search_blocks(self, needles, a, b, side):
+    def search_blocks(self, needles, a, b, right):
         # The run is sorted as a whole, so one search over all of it,
         # clipped to each range, is the search within that range.
         self.touch(a[a < b])
-        return np.clip(np.searchsorted(self.key, needles, side), a, b)
+        out = np.searchsorted(self.key, needles)
+        if right.any():
+            out[right] = np.searchsorted(self.key, needles[right], "right")
+        return np.clip(out, a, b)
 
     def _load(self, blocks: np.ndarray) -> None:
         # Imported here: repro.storage imports this module.
@@ -289,13 +301,17 @@ class MemorySource(EntrySource):
 
 
 _U64_MAX = (1 << 64) - 1
+# A range search's two needles: the first entry not below its lower
+# bound, and the first entry above its upper bound.
+_BOUND_SIDES = np.array(["left", "right"])
 
 
 def search_sorted(
-    src: EntrySource, needles: np.ndarray, lo: np.ndarray, hi: np.ndarray, side: str = "left"
+    src: EntrySource, needles: np.ndarray, lo: np.ndarray, hi: np.ndarray, side="left"
 ) -> np.ndarray:
     """Per needle, ``np.searchsorted`` of it in the entries ``[lo, hi)``
-    of the run, as a run position (§7.1.1's binary search).
+    of the run, as a run position (§7.1.1's binary search). ``side`` is
+    ``"left"`` or ``"right"``, or an array of one of them per needle.
 
     ``needles`` are full memcmp keys (:func:`enc.memcmp_key` over the
     order fields). A range that crosses into a block not read yet is
@@ -307,6 +323,8 @@ def search_sorted(
     br = src.spec.block_rows
     a = np.array(lo, dtype=np.int64)
     b = np.array(hi, dtype=np.int64)
+    right = np.broadcast_to(np.asarray(side) == "right", a.shape)
+    any_right = right.any()
     first, last = a // br, (b - 1) // br
     # A range in one block needs that block alone. Reading those first
     # lets a range over blocks read already skip its bisection: it would
@@ -318,11 +336,13 @@ def search_sorted(
         ai, bi = a[idx], b[idx]
         m = (ai + bi) >> 1
         k, n = src.keys(m), needles[idx]
-        below = k < n if side == "left" else k <= n
+        below = k < n
+        if any_right:  # a right-side needle goes past entries equal to it
+            below |= right[idx] & (k == n)
         a[idx] = np.where(below, m + 1, ai)
         b[idx] = np.where(below, bi, m)
         idx = idx[a[idx] // br < (b[idx] - 1) // br]
-    return src.search_blocks(needles, a, b, side)
+    return src.search_blocks(needles, a, b, right)
 
 
 def synopsis_overlaps(synopsis: dict, bounds) -> bool:
@@ -345,7 +365,16 @@ def _new_run_id(zone: str, level: int, gbid_lo: int, gbid_hi: int) -> str:
 
 
 class IndexRun:
-    """One sorted, immutable index run (header + data blocks)."""
+    """One sorted, immutable index run: its header, and its entries while
+    it is resident.
+
+    The header — run ID, zone, level, groomed-block-ID range, entry count,
+    offset array and synopsis — is all a run needs to be searched through
+    an :class:`EntrySource`. A run persisted through a cache drops its
+    entries (:meth:`drop_entries`) and is read block by block from then
+    on; §6.2's purged run keeps only "the header block for queries to
+    locate data blocks".
+    """
 
     def __init__(
         self,
@@ -356,30 +385,47 @@ class IndexRun:
         level: int,
         gbid_lo: int,
         gbid_hi: int,
-        key: np.ndarray,
-        cols: dict[str, np.ndarray],
+        n_entries: int,
         offset_array: np.ndarray,
         synopsis: dict[str, tuple[int, int]],
         ancestors: tuple[str, ...] = (),
+        key: np.ndarray | None = None,
+        cols: dict[str, np.ndarray] | None = None,
     ):
         """``key`` holds the order fields as one memcmp key per entry;
-        ``cols`` the other fields of ``spec.fields`` as uint64 columns."""
+        ``cols`` the other fields of ``spec.fields`` as uint64 columns.
+        Without them the run is header-only."""
         self.spec = spec
         self.run_id = run_id
         self.zone = zone
         self.level = level
         self.gbid_lo = gbid_lo
         self.gbid_hi = gbid_hi
-        self.key = key
-        # Every field by name: the order fields as big-endian uint64 views
-        # of ``key`` (no copy), then the native uint64 columns.
-        self.cols = dict(zip(spec.order_fields, enc.key_columns(key).T)) | cols
+        self.n_entries = n_entries
         self.offset_array = offset_array
         self.synopsis = synopsis
         self.ancestors = tuple(ancestors)
-        self.n_entries = len(key)
         # Bucket i of the offset array ends where bucket i + 1 starts.
-        self._bucket_end = np.append(offset_array[1:], self.n_entries)
+        self._bucket_end = np.append(offset_array[1:], n_entries)
+        self.key = self.cols = None
+        if key is not None:
+            self._hold(key, cols)
+
+    def _hold(self, key: np.ndarray, cols: dict[str, np.ndarray]) -> None:
+        self.key = key
+        # Every field by name: the order fields as big-endian uint64 views
+        # of ``key`` (no copy), then the native uint64 columns.
+        self.cols = dict(zip(self.spec.order_fields, enc.key_columns(key).T)) | cols
+
+    @property
+    def resident(self) -> bool:
+        """Whether the run holds its entries in memory."""
+        return self.key is not None
+
+    def drop_entries(self) -> None:
+        """Keep only the header: the entries are stored, and reads go
+        through the cache from now on."""
+        self.key = self.cols = None
 
     # ------------------------------------------------------------------ build
     @classmethod
@@ -452,19 +498,53 @@ class IndexRun:
             level=level,
             gbid_lo=gbid_lo,
             gbid_hi=gbid_hi,
-            key=key,
-            cols=cols,
+            n_entries=n,
             offset_array=offset_array,
             synopsis=synopsis,
+            key=key,
+            cols=cols,
         )
 
     # ------------------------------------------------------------ merge build
+    @staticmethod
+    def read_entries(
+        runs: list["IndexRun"], read_block=None
+    ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """The entries of ``runs`` (of one spec), one run after another:
+        their memcmp keys, and their other fields as uint64 columns.
+
+        A resident run's arrays are copied; a header-only run is read one
+        data block at a time with ``read_block(run_id, i) -> bytes`` and
+        decoded straight into place, as an LSM compaction iterator reads
+        its inputs (LevelDB, RocksDB).
+        """
+        spec = runs[0].spec
+        n, br = sum(r.n_entries for r in runs), spec.block_rows
+        key = np.empty(n, f"S{8 * len(spec.order_fields)}")
+        cols = {f: np.empty(n, np.uint64) for f in spec.rest_fields}
+        at = 0
+        for r in runs:
+            if r.resident:
+                parts = [(r.key, [r.cols[f] for f in spec.rest_fields])]
+            else:
+                parts = (
+                    IndexRun.decode_block(spec, read_block(r.run_id, i), min(br, r.n_entries - i * br))
+                    for i in range(-(-r.n_entries // br))
+                )
+            for k, rest in parts:
+                key[at : at + len(k)] = k
+                for f, c in zip(spec.rest_fields, rest):
+                    cols[f][at : at + len(k)] = c
+                at += len(k)
+        return key, cols
+
     @classmethod
     def merge_runs(
         cls,
         runs: list["IndexRun"],
         *,
         level: int,
+        read_block=None,
     ) -> "IndexRun":
         """Merge several runs of one zone into a new sorted run (§5.3).
 
@@ -472,7 +552,8 @@ class IndexRun:
         groomed/post-groomed duplicate elimination happens at query time
         (§5.4), never inside a zone merge. Only *identical* entries
         (same key, beginTS and RID — possible when an evolve raced a
-        merge) collapse.
+        merge) collapse. Header-only inputs are read once per data block
+        with ``read_block`` (:meth:`read_entries`).
         """
         if not runs:
             raise ValueError("nothing to merge")
@@ -480,8 +561,7 @@ class IndexRun:
         zone = runs[0].zone
         if any(r.zone != zone for r in runs):
             raise ValueError("Umzi only merges runs within the same zone (§4.3)")
-        key = np.concatenate([r.key for r in runs])
-        cols = {f: np.concatenate([r.cols[f] for r in runs]) for f in spec.rest_fields}
+        key, cols = cls.read_entries(runs, read_block)
         # The inputs are each sorted, which a stable argsort of one key
         # exploits. Identical entries end up adjacent, with equal keys and
         # RIDs. (np.take gathers ``S`` items more than twice as fast as
@@ -512,10 +592,11 @@ class IndexRun:
             level=level,
             gbid_lo=gbid_lo,
             gbid_hi=gbid_hi,
-            key=key,
-            cols=cols,
+            n_entries=len(key),
             offset_array=np.searchsorted(key, spec.bucket_keys),
             synopsis=synopsis,
+            key=key,
+            cols=cols,
         )
 
     # --------------------------------------------------------------- synopsis
@@ -588,9 +669,8 @@ class IndexRun:
         needles = enc.memcmp_key(
             np.array([lo_key + [0] * pad, hi_key + [_U64_MAX] * pad], dtype=np.uint64).T
         )
-        lo, hi = self.bucket(np.array([h], np.uint64))
-        a = int(search_sorted(src, needles[:1], lo, hi, "left")[0])
-        b = int(search_sorted(src, needles[1:], lo, hi, "right")[0])
+        lo, hi = self.bucket(np.array([h, h], np.uint64))
+        a, b = search_sorted(src, needles, lo, hi, _BOUND_SIDES).tolist()
         if a >= b:
             return self._empty_result()
 
@@ -680,29 +760,29 @@ class IndexRun:
         return key, rest.reshape(nr, rows)
 
     @classmethod
-    def from_header_and_blocks(
-        cls, header: dict, blocks: list[bytes]
-    ) -> "IndexRun":
-        """Rebuild a fully-resident run from its persisted form (§5.5)."""
-        spec = IndexSpec.from_json(header["spec"])
-        n, br = header["n_entries"], spec.block_rows
-        keys, rests = zip(
-            *(cls.decode_block(spec, blk, min(br, n - i * br)) for i, blk in enumerate(blocks))
-        )
-        rest = np.concatenate(rests, axis=1)
+    def from_header(cls, header: dict) -> "IndexRun":
+        """A header-only run from its persisted header block (§5.5)."""
         return cls(
-            spec,
+            IndexSpec.from_json(header["spec"]),
             run_id=header["run_id"],
             zone=header["zone"],
             level=header["level"],
             gbid_lo=header["gbid_lo"],
             gbid_hi=header["gbid_hi"],
-            key=np.concatenate(keys),
-            cols=dict(zip(spec.rest_fields, rest)),
+            n_entries=header["n_entries"],
             offset_array=np.asarray(header["offset_array"], dtype=np.int64),
             synopsis={k: (v[0], v[1]) for k, v in header["synopsis"].items()},
             ancestors=tuple(header["ancestors"]),
         )
+
+    @classmethod
+    def from_header_and_blocks(
+        cls, header: dict, blocks: list[bytes]
+    ) -> "IndexRun":
+        """Rebuild a fully-resident run from its persisted form (§5.5)."""
+        run = cls.from_header(header)
+        run._hold(*cls.read_entries([run], lambda _run_id, i: blocks[i]))
+        return run
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -162,7 +162,7 @@ def _run_e2e(cfg: E2EConfig, hier: StorageHierarchy) -> E2EResult:
         total_batches += len(results)
         lookup_s.append(float(np.mean([w + io for w, io in results])))
         io_s.append(float(np.mean([io for _w, io in results])))
-        run_counts.append(len(index.query_snapshot().runs))
+        run_counts.append(index.describe()["visible_runs"])
 
     return E2EResult(
         per_cycle_lookup_s=lookup_s,

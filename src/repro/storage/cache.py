@@ -11,10 +11,15 @@ Responsibilities, mapped to the paper:
   SSD; a *current cached level* separates cached from purged runs.
   Purging a run drops its data blocks from the SSD but keeps the
   header block "for queries to locate data blocks". New runs below the
-  cached level are written through to the SSD cache.
+  cached level are written through to the SSD cache. A persisted run
+  holds no entries in memory either, only its header
+  (``IndexRun.drop_entries``), so a purged run is purged from memory as
+  well as from the SSD.
 * **Miss path** (§7): a query touching a purged run transfers data blocks
   shared → SSD one block at a time, leaving them cached; its decoded
   blocks live in the query's :class:`BlockSource` and are dropped with it.
+  A merge reads its inputs the same way but caches nothing
+  (``read_block(fill=False)``): they are GC'd right after.
 """
 from __future__ import annotations
 
@@ -62,7 +67,8 @@ class CacheManager:
     def write_run(
         self, run: IndexRun, *, persisted: bool, cache_tier: str = "ssd"
     ) -> None:
-        """Store a freshly built run.
+        """Store a freshly built run; its entries stay in the run, which
+        the index then drops for a persisted one.
 
         ``persisted``: also written to shared storage (mandatory for level
         0 and all persisted levels, §6.1). ``cache_tier``: 'mem' | 'ssd' |
@@ -77,11 +83,14 @@ class CacheManager:
             [self.h.ssd] if cache_tier == "ssd" else []
         )
         if tiers:
+            # The header first on each tier (a run missing blocks is
+            # incomplete, §5.5), then one block's bytes at a time.
             hdr = json.dumps(run.header_json()).encode()
-            blocks = [run.block_bytes(i) for i in range(run.n_blocks)]
             for tier in tiers:
                 tier.put(_header_key(run.run_id), hdr)
-                for i, blk in enumerate(blocks):
+            for i in range(run.n_blocks):
+                blk = run.block_bytes(i)
+                for tier in tiers:
                     tier.put(_block_key(run.run_id, i), blk)
         with self._lock:
             self._runs[run.run_id] = _RunState(
@@ -97,9 +106,10 @@ class CacheManager:
             )
 
     # ------------------------------------------------------------------- read
-    def read_block(self, run_id: str, i: int) -> bytes:
-        """SSD → shared; a shared-storage hit caches the block on SSD
-        (block-basis transfer, §7)."""
+    def read_block(self, run_id: str, i: int, *, fill: bool = True) -> bytes:
+        """SSD → shared; with ``fill``, a shared-storage hit caches the
+        block on SSD (block-basis transfer, §7). A merge reads its inputs
+        without ``fill``: they are GC'd right after."""
         key = _block_key(run_id, i)
         # Read and fall through on a miss, rather than test exists() first:
         # a purge between the test and the read would fail the query. Only
@@ -109,6 +119,8 @@ class CacheManager:
         except FileNotFoundError:
             pass
         data = self.h.shared.get(key)
+        if not fill:
+            return data
         try:
             self.h.ssd.put(key, data)
         except FileExistsError:  # pragma: no cover - concurrent fetch race
@@ -197,20 +209,24 @@ class BlockSource(EntrySource):
         self._col = {f: i for i, f in enumerate(spec.rest_fields)}
         self._buf = np.empty((nb, len(spec.rest_fields), br), np.uint64)
 
-    def search_blocks(self, needles, a, b, side):
+    def search_blocks(self, needles, a, b, right):
         # Loaded blocks sit in key order in the flat buffer: one search
-        # per group of ranges over the same blocks.
+        # per group of ranges over the same blocks, searched on one side.
         br = self.spec.block_rows
         live = np.flatnonzero(a < b)
-        first, last = self.touch(a[live]), (b[live] - 1) // br
-        order = np.lexsort((last, first))
-        live, first, last = live[order], first[order], last[order]
-        new = np.flatnonzero(np.diff(first, prepend=-1) | np.diff(last, prepend=-1))
+        first, last, side = self.touch(a[live]), (b[live] - 1) // br, right[live]
+        order = np.lexsort((side, last, first))
+        live, first, last, side = live[order], first[order], last[order], side[order]
+        new = np.flatnonzero(
+            np.diff(first, prepend=-1) | np.diff(last, prepend=-1) | np.diff(side, prepend=-1)
+        )
         flat = self._key.reshape(-1)
         out = a.copy()
-        for x, y, sel in zip(first[new].tolist(), last[new].tolist(), np.split(live, new[1:])):
+        for x, y, r, sel in zip(
+            first[new].tolist(), last[new].tolist(), side[new].tolist(), np.split(live, new[1:])
+        ):
             lo, hi = x * br, min((y + 1) * br, self.n_entries)
-            out[sel] = np.searchsorted(flat[lo:hi], needles[sel], side) + lo
+            out[sel] = np.searchsorted(flat[lo:hi], needles[sel], "right" if r else "left") + lo
         return np.clip(out, a, b)
 
     def _load(self, blocks: np.ndarray) -> None:

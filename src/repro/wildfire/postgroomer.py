@@ -197,17 +197,18 @@ class PostGroomer:
         # PG index portion for the previous post-groomed version of each.
         oldest = np.flatnonzero(np.r_[True, ~same_key])
         spec = self.index.spec
-        pg_runs = self.index.postgroomed.snapshot()
         none = np.empty(0, np.int64)
-        if not pg_runs:
-            return dict.fromkeys(_END_TS_DELTA, none)
-        prev = q.batch_lookup(
-            self.index,
-            [batch[c][oldest] for c in spec.eq_cols],
-            [batch[c][oldest] for c in spec.sort_cols],
-            int(2**62),
-            runs=pg_runs,
-        )
+        with self.index.query_snapshot() as snap:
+            pg_runs = [h for h in snap.runs if h.run.zone == POSTGROOMED]
+            if not pg_runs:
+                return dict.fromkeys(_END_TS_DELTA, none)
+            prev = q.batch_lookup(
+                self.index,
+                [batch[c][oldest] for c in spec.eq_cols],
+                [batch[c][oldest] for c in spec.sort_cols],
+                int(2**62),
+                runs=pg_runs,
+            )
         if not len(prev["begin_ts"]):
             return dict.fromkeys(_END_TS_DELTA, none)
         hit, found = _join_found(oldest, batch, prev, spec.key_cols)

@@ -247,3 +247,36 @@ def test_block_source_buffer_is_allocated_once(cm):
         tracemalloc.stop()
     assert src._touched.all()
     assert peak <= 1.1 * block_bytes
+
+
+def test_merge_of_header_only_runs_equals_merge_of_resident_copies(cm):
+    """A merge reads each block of its header-only inputs once — from the
+    SSD if cached, else from shared storage, without caching it there —
+    and writes the same blocks as a merge of resident copies."""
+    from functools import partial
+
+    # Whole and partial blocks, an empty run, and identical entries across
+    # runs (the same gbid twice), which the merge collapses.
+    runs = [mkrun(0, n=50), mkrun(1, n=16), mkrun(0, n=50), mkrun(2, n=0), mkrun(3, n=23)]
+    for r in runs:
+        cm.write_run(r, persisted=True, cache_tier="ssd")
+    purged = runs[1::2]
+    for r in purged:
+        cm.purge_run(r.run_id)
+    copies = [read_run(cm.h.shared, r.header_json()) for r in runs]
+    for r in runs:
+        r.drop_entries()
+    cm.h.stats.reset()
+    merged = IndexRun.merge_runs(runs, level=1, read_block=partial(cm.read_block, fill=False))
+    reads = cm.h.stats.snapshot()["reads"]
+    blocks = [-(-r.n_entries // SPEC.block_rows) for r in runs]
+    assert reads["ssd"] + reads["shared"] == sum(blocks)
+    assert reads["shared"] == sum(blocks[1::2])
+    for r, n in zip(purged, blocks[1::2]):  # nothing read stays on the SSD
+        assert not any(cm.h.ssd.exists(_block_key(r.run_id, i)) for i in range(n))
+    ref = IndexRun.merge_runs(copies, level=1)
+    assert merged.n_entries == ref.n_entries < sum(r.n_entries for r in runs)
+    assert [merged.block_bytes(i) for i in range(merged.n_blocks)] == [
+        ref.block_bytes(i) for i in range(ref.n_blocks)
+    ]
+    assert {**merged.header_json(), "run_id": ""} == {**ref.header_json(), "run_id": ""}

@@ -139,3 +139,24 @@ def test_cache_ops_require_hierarchy():
         ix.apply_cache_level(0)
     with pytest.raises(ValueError, match="no storage hierarchy"):
         ix.auto_adjust_cache(1)
+
+
+def test_merges_of_purged_runs_cache_nothing(tmp_path):
+    """With every level purged, the runs built and the merges that fold
+    them read their inputs from shared storage once per block and cache
+    none of them: the SSD holds no data block, and every run is
+    header-only."""
+    hier = StorageHierarchy(str(tmp_path))
+    ix = UmziIndex(SPEC, CFG, CacheManager(hier))
+    ix.apply_cache_level(-1)
+    mem = UmziIndex(SPEC, CFG)  # the same runs, resident
+    for gb in range(7):
+        for index in (ix, mem):
+            index.add_groomed_run(mkrun(gb))
+            index.maintain()
+    assert not [k for k in hier.ssd.list("runs/") if "/block." in k]
+    runs = [h.run for h in ix.groomed.snapshot()]
+    assert len(runs) < 7 and not any(r.resident for r in runs)
+    for kv in range(20):
+        got, want = (q.range_scan(i, (kv,), None, None, 2**62) for i in (ix, mem))
+        assert {c: v.tolist() for c, v in got.items()} == {c: v.tolist() for c, v in want.items()}

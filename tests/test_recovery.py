@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import query as q
 from repro.core.index import UmziConfig, UmziIndex
-from repro.core.recovery import list_headers, recover
+from repro.core.recovery import list_headers, read_run, recover
 from repro.core.run import GROOMED, POSTGROOMED, IndexRun, IndexSpec
 from repro.storage import CacheManager, StorageHierarchy
 from repro.storage.cache import _block_key
@@ -251,7 +251,10 @@ def test_recover_returns_rid_columns_unchanged(tmp_path):
     ix.add_groomed_run(run)
     hier.crash_node()
     ix2 = recover(SPEC, CFG, CacheManager(hier))
-    (got,) = [h.run for h in ix2.query_snapshot().runs]
+    # Both runs are header-only: the built one once persisted, the
+    # recovered one by recovery. Their entries are on shared storage.
+    (got,) = [read_run(hier.shared, h.run.header_json()) for h in ix2.query_snapshot().runs]
+    run = read_run(hier.shared, run.header_json())
 
     def rows(r):
         d = r._decode(r.cols)
@@ -259,3 +262,27 @@ def test_recover_returns_rid_columns_unchanged(tmp_path):
         return sorted(zip(*(d[c].tolist() for c in cols)))
 
     assert rows(got) == rows(run) == sorted(zip(df.k, df.s, df.ts, z, b, o))
+
+
+def test_recover_reads_only_headers(tmp_path):
+    """§5.5 recovery reads the state and the run headers and no data
+    block: the recovered runs are header-only, and a query reads the
+    blocks it needs through the cache."""
+    hier, cm, ix, df = make_populated(tmp_path)
+    hier.crash_node()
+    headers = [k for k in hier.shared.list("runs/") if k.endswith("/header")]
+    hier.stats.reset()
+    ix2 = recover(SPEC, CFG, CacheManager(hier))
+    assert hier.stats.snapshot()["reads"]["shared"] == len(headers) + 1  # + the state
+    runs = [h.run for h in ix2.groomed.snapshot() + ix2.postgroomed.snapshot()]
+    assert runs and all(r.key is None and r.cols is None for r in runs)
+
+    keys = [(k, s) for k in range(20) for s in range(20)]
+    got = q.batch_lookup(
+        ix2, [np.array([k for k, _ in keys])], [np.array([s for _, s in keys])], 2**62
+    )
+    latest = df.sort_values("ts").groupby(["k", "s"]).ts.last()
+    assert sorted(zip(got["k"].tolist(), got["s"].tolist(), got["begin_ts"].tolist())) == [
+        (k, s, t) for (k, s), t in latest.items()
+    ]
+    assert hier.stats.snapshot()["reads"]["shared"] > len(headers) + 1

@@ -185,6 +185,7 @@ def test_rid_decoding():
 def test_block_source_equals_memory_source(block_rows, tmp_path):
     from repro.core import query as q
     from repro.core.index import UmziIndex
+    from repro.core.recovery import read_run
     from repro.storage import CacheManager, StorageHierarchy
     from repro.storage.cache import BlockSource
 
@@ -200,10 +201,10 @@ def test_block_source_equals_memory_source(block_rows, tmp_path):
             assert a["begin_ts"].tolist() == b["begin_ts"].tolist()
             assert a["msg"].tolist() == b["msg"].tolist()
     # batch_lookup over the same run, memory-resident vs block-backed
-    mem_ix = UmziIndex(spec)
     blk_ix = UmziIndex(spec, cache=CacheManager(StorageHierarchy(str(tmp_path / "ix"))))
-    for ix in (mem_ix, blk_ix):
-        ix.add_groomed_run(run)
+    blk_ix.add_groomed_run(run)  # persisted: the run keeps only its header
+    mem_ix = UmziIndex(spec)
+    mem_ix.add_groomed_run(read_run(hier.shared, run.header_json()))
     devs = np.asarray([1, 3, 3, 4, 4, 4, 5, 8, 9], np.int64)
     msgs = np.asarray([1, 0, 1, 1, 2, 3, 1, 2, 0], np.int64)
     for qts in (94, 100, 105):
@@ -304,6 +305,7 @@ def test_run_key_is_the_order_columns_and_every_form_answers_alike(tmp_path):
     memory, read through a BlockSource, and rebuilt from its blocks."""
     from repro.core import query as q
     from repro.core.index import UmziIndex
+    from repro.core.recovery import read_run
     from repro.storage import CacheManager, StorageHierarchy
     from repro.storage.cache import BlockSource
 
@@ -329,10 +331,12 @@ def test_run_key_is_the_order_columns_and_every_form_answers_alike(tmp_path):
     on_ssd = UmziIndex(spec, cache=cm)
     on_ssd.add_groomed_run(run)
     assert isinstance(on_ssd.source_for(run), BlockSource)
+    assert not run.resident  # persisted: the run keeps only its header
+    built, run = run, read_run(cm.h.shared, run.header_json())
     indexes = [UmziIndex(spec), on_ssd, UmziIndex(spec)]
     indexes[0].add_groomed_run(run)
     indexes[2].add_groomed_run(rebuilt)
-    forms = [(run, None), (run, BlockSource(cm, run)), (rebuilt, None)]
+    forms = [(run, None), (built, BlockSource(cm, built)), (rebuilt, None)]
 
     def searches(r, source):
         return [
@@ -355,3 +359,62 @@ def test_run_key_is_the_order_columns_and_every_form_answers_alike(tmp_path):
     assert 0 < len(want["k"]) < 300
     for index in indexes[1:]:
         assert lookups(index) == want
+
+
+def test_range_search_bisects_both_bounds_together():
+    """On a Fig. 11c-shaped index — an equality column with two values,
+    so each offset-array bucket holds half the run — a range search
+    bisects its lower and upper bound in the same rounds of ``src.keys``:
+    fewer rounds than one search per bound, the same positions, and the
+    oracle's rows."""
+    from repro.core import encoding as enc
+    from repro.core.run import search_sorted
+
+    class Counting(MemorySource):
+        rounds = 0
+
+        def keys(self, positions):
+            self.rounds += 1
+            return super().keys(positions)
+
+    split = 1 << 20
+    spec = IndexSpec(eq_cols=("c1",), sort_cols=("c2",), hash_bits=10, block_rows=64)
+    g = np.random.default_rng(11)
+    n = 20_000
+    key = g.integers(0, 2 * split, n)
+    ts = g.integers(0, 1000, n)
+    run = IndexRun.build(
+        spec, zone=GROOMED, level=0, gbid_lo=0, gbid_hi=0,
+        eq={"c1": key // split}, sorts={"c2": key % split}, begin_ts=ts,
+        rid_zone=np.zeros(n), rid_block=np.zeros(n), rid_off=np.arange(n),
+    )
+    df = pd.DataFrame({"c1": key // split, "c2": key % split, "ts": ts})
+    u64_max = 2**64 - 1
+    for c1, lo, hi in [(0, 0, 10), (1, 1000, 200_000), (0, 500_000, split - 1), (1, 7, 7)]:
+        src = Counting(run)
+        res = run.search((c1,), (lo,), (hi,), 500, source=src)
+        hit = df[(df.c1 == c1) & (df.c2 >= lo) & (df.c2 <= hi) & (df.ts <= 500)]
+        exp = hit.sort_values("ts").groupby("c2").last()
+        assert res["c2"].tolist() == exp.index.tolist()
+        assert res["begin_ts"].tolist() == exp.ts.tolist()
+
+        # The same two bounds: the first entry not below (c1, lo) and the
+        # first above (c1, hi), searched one call per bound, then together.
+        h = enc.hash_columns([np.array([c1])])
+        prefix = [int(h[0]), enc.ordered_scalar(c1)]
+        needles = enc.memcmp_key(np.array(
+            [prefix + [enc.ordered_scalar(lo), 0], prefix + [enc.ordered_scalar(hi), u64_max]],
+            np.uint64,
+        ).T)
+        b_lo, b_hi = run.bucket(h)
+        assert b_hi[0] - b_lo[0] > n // 3  # a wide bucket
+        apart = Counting(run)
+        a = search_sorted(apart, needles[:1], b_lo, b_hi, "left")
+        b = search_sorted(apart, needles[1:], b_lo, b_hi, "right")
+        both = Counting(run)
+        got = search_sorted(
+            both, needles, np.repeat(b_lo, 2), np.repeat(b_hi, 2), np.array(["left", "right"])
+        )
+        assert got.tolist() == [a[0], b[0]]
+        assert both.rounds < apart.rounds
+        assert src.rounds <= both.rounds + 1  # + one gather of the range's keys

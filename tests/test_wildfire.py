@@ -9,6 +9,7 @@ import pytest
 
 from repro.core import query as q
 from repro.core.index import UmziConfig, UmziIndex
+from repro.core.recovery import read_run
 from repro.core.run import GROOMED, IndexRun
 from repro.experiments import defs
 from repro.storage import CacheManager, StorageHierarchy
@@ -148,8 +149,9 @@ class TestGroomer:
         for rg in range(meta.num_row_groups):
             for c in range(meta.num_columns):
                 assert not meta.row_group(rg).column(c).has_dictionary_page
-        # The groomer's run is the run built over the read-back block.
-        run = ix.groomed.snapshot()[0].run
+        # The groomer's run is the run built over the read-back block. It
+        # is persisted and header-only; its entries are on shared storage.
+        run = read_run(hier.shared, ix.groomed.snapshot()[0].run.header_json())
         spec = ix.spec
         ref = IndexRun.build(
             spec, zone=GROOMED, level=0, gbid_lo=gbid, gbid_hi=gbid,
