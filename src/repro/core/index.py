@@ -302,7 +302,7 @@ class UmziIndex:
         SSD read; else the blocks themselves, read through the cache with
         real tier charges (§7). A GC'd run's blocks outlive every
         snapshot that holds it."""
-        return MemorySource(run) if run.resident else BlockSource(self.cache, run)
+        return MemorySource(run) if run.resident else BlockSource(self.cache.read_block, run)
 
     # ------------------------------------------------------- cache management
     def apply_cache_level(self, level: int) -> None:

@@ -69,11 +69,10 @@ def list_headers(tier) -> list[dict]:
     return [json.loads(tier.get(k)) for k in tier.list("runs/") if k.endswith("/header")]
 
 
-def read_run(tier, header: dict) -> IndexRun:
-    """A fully resident run from its header and its data blocks on ``tier``
-    (the Spark ``umzi`` reader, whose tasks hold no cache)."""
-    blocks = [tier.get(_block_key(header["run_id"], i)) for i in range(header["n_blocks"])]
-    return IndexRun.from_header_and_blocks(header, blocks)
+def read_block(tier, run_id: str, i: int) -> bytes:
+    """Data block ``i`` of a run on ``tier`` (the Spark ``umzi`` reader,
+    whose tasks hold no cache)."""
+    return tier.get(_block_key(run_id, i))
 
 
 def _complete(tier, header: dict) -> bool:

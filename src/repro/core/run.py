@@ -267,8 +267,8 @@ class MemorySource(EntrySource):
     ``capture_io`` scope.
 
     Only a run resident by configuration has them: one of an index with no
-    storage hierarchy (the §8.3 microbenchmarks), one at a non-persisted
-    level (§6.1), or one read whole from shared storage."""
+    storage hierarchy (the §8.3 microbenchmarks), or one at a non-persisted
+    level (§6.1)."""
 
     def __init__(self, run: "IndexRun"):
         if not run.resident:
@@ -407,15 +407,12 @@ class IndexRun:
         self.ancestors = tuple(ancestors)
         # Bucket i of the offset array ends where bucket i + 1 starts.
         self._bucket_end = np.append(offset_array[1:], n_entries)
-        self.key = self.cols = None
-        if key is not None:
-            self._hold(key, cols)
-
-    def _hold(self, key: np.ndarray, cols: dict[str, np.ndarray]) -> None:
         self.key = key
         # Every field by name: the order fields as big-endian uint64 views
         # of ``key`` (no copy), then the native uint64 columns.
-        self.cols = dict(zip(self.spec.order_fields, enc.key_columns(key).T)) | cols
+        self.cols = None if key is None else (
+            dict(zip(spec.order_fields, enc.key_columns(key).T)) | cols
+        )
 
     @property
     def resident(self) -> bool:
@@ -774,15 +771,6 @@ class IndexRun:
             synopsis={k: (v[0], v[1]) for k, v in header["synopsis"].items()},
             ancestors=tuple(header["ancestors"]),
         )
-
-    @classmethod
-    def from_header_and_blocks(
-        cls, header: dict, blocks: list[bytes]
-    ) -> "IndexRun":
-        """Rebuild a fully-resident run from its persisted form (§5.5)."""
-        run = cls.from_header(header)
-        run._hold(*cls.read_entries([run], lambda _run_id, i: blocks[i]))
-        return run
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -13,15 +13,17 @@ The reader's life cycle (driver side):
    the post-groomed list (§5.4), prunes runs whose synopsis cannot match
    the pushed filters, and emits one input partition per surviving run.
    It never deletes anything;
-3. ``read`` (executor side) reads that run's data blocks with
-   ``recovery.read_run``, applies the offset-array narrowing for pushed
-   equality keys, and yields Arrow record batches of decoded index
-   entries tagged with ``_run_rank`` (recency rank) for reconciliation in
-   ``scan.unified_view``.
+3. ``read`` (executor side) reads that run from its header and shared
+   storage: a search through a ``BlockSource`` that reads only the blocks
+   it touches if every equality column is pushed, else every block once
+   (``IndexRun.read_entries``); it yields Arrow record batches of decoded
+   index entries tagged with ``_run_rank`` (recency rank) for
+   reconciliation in ``scan.unified_view``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import pyarrow as pa
@@ -37,8 +39,10 @@ from pyspark.sql.datasource import (
 )
 from pyspark.sql.types import LongType, StructField, StructType
 
-from repro.core.recovery import plan_runs, read_run
-from repro.core.run import GROOMED, POSTGROOMED, IndexSpec, synopsis_overlaps
+from repro.core import encoding as enc
+from repro.core.recovery import plan_runs, read_block
+from repro.core.run import GROOMED, POSTGROOMED, IndexRun, IndexSpec, synopsis_overlaps
+from repro.storage.cache import BlockSource
 from repro.storage.tiers import SHARED_LATENCY, DirTier, IOStats
 
 
@@ -133,16 +137,18 @@ class UmziReader(DataSourceReader):
 
     # ------------------------------------------------------------------ read
     def read(self, partition: _RunPartition):
-        run = read_run(_shared(self.root), partition.header)
+        run = IndexRun.from_header(partition.header)
+        read = partial(read_block, _shared(self.root))
         spec = run.spec
         if spec.eq_cols and all(c in partition.eq_values for c in spec.eq_cols):
             # All equality columns pushed: offset-array + binary search
             # instead of emitting the whole run. Searching at the scan's
             # query_ts keeps per-run dedup consistent with the snapshot.
             eq_vals = tuple(int(partition.eq_values[c]) for c in spec.eq_cols)
-            res = run.search(eq_vals, None, None, self.query_ts)
+            res = run.search(eq_vals, None, None, self.query_ts, source=BlockSource(read, run))
         else:
-            res = run._decode(run.cols)
+            key, cols = IndexRun.read_entries([run], read)
+            res = run._decode(dict(zip(spec.order_fields, enc.key_columns(key).T)) | cols)
         n = len(res["begin_ts"])
         if n == 0:
             return

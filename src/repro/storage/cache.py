@@ -171,7 +171,11 @@ class CacheManager:
     def delete_run(self, run_id: str, *, from_shared: bool = True) -> None:
         """GC a merged/evolved-away run from every tier it occupies."""
         with self._lock:
-            st = self._runs.pop(run_id, None)
+            st = self._runs.get(run_id)
+            if from_shared or not (st and st.persisted):
+                self._runs.pop(run_id, None)
+            else:  # kept on shared storage: a later delete there needs n_blocks
+                st.local = "none"
         n_blocks = st.n_blocks if st else 0
         for tier in (self.h.ssd,) + ((self.h.shared,) if from_shared else ()):
             tier.delete(_header_key(run_id))
@@ -181,11 +185,12 @@ class CacheManager:
 
 
 class BlockSource(EntrySource):
-    """Query-side entry source reading data blocks through the cache.
+    """Query-side entry source reading a header-only run's data blocks.
 
-    Each touched block is read once through :meth:`CacheManager.read_block`,
-    decoded, and copied into its slot of two buffers allocated once with
-    ``np.empty``: one ``(n_blocks, block_rows)`` array of memcmp keys and
+    Each touched block is read once with ``read_block(run_id, i) -> bytes``
+    (:meth:`CacheManager.read_block`, or a shared-storage read where no
+    cache is held, as in the Spark ``umzi`` reader), decoded, and copied
+    into its slot of two buffers allocated once with ``np.empty``: one ``(n_blocks, block_rows)`` array of memcmp keys and
     one ``(n_blocks, len(spec.rest_fields), block_rows)`` uint64 array of
     the other fields. The keys come over with one copy of the block's
     bytes. A gather is then one fancy index per field, whichever blocks
@@ -196,9 +201,9 @@ class BlockSource(EntrySource):
     cached data blocks are released".
     """
 
-    def __init__(self, cache: CacheManager, run: IndexRun):
+    def __init__(self, read_block, run: IndexRun):
         super().__init__(run.spec, run.n_entries)
-        self.cache = cache
+        self.read_block = read_block
         self.run_id = run.run_id
         spec = run.spec
         nb, br, nk = run.n_blocks, spec.block_rows, len(spec.order_fields)
@@ -234,7 +239,7 @@ class BlockSource(EntrySource):
         for bi in blocks.tolist():
             rows = min(br, self.n_entries - bi * br)
             key, rest = IndexRun.decode_block(
-                self.spec, self.cache.read_block(self.run_id, bi), rows
+                self.spec, self.read_block(self.run_id, bi), rows
             )
             self._key[bi, :rows] = key
             self._buf[bi, :, :rows] = rest

@@ -151,8 +151,9 @@ class DirTier:
         os.makedirs(root, exist_ok=True)
 
     def _path(self, key: str) -> str:
-        p = os.path.normpath(os.path.join(self.root, key))
-        if not p.startswith(os.path.normpath(self.root)):
+        root = os.path.normpath(self.root)
+        p = os.path.normpath(os.path.join(root, key))
+        if os.path.commonpath([root, p]) != root:
             raise ValueError(f"key escapes tier root: {key}")
         return p
 

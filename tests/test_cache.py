@@ -1,11 +1,13 @@
 """Cache manager — paper §6.2 (purge/load, write-through, miss path) and
 §6.1 (non-persisted-run constraints)."""
+import copy
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 
-from repro.core.recovery import list_headers, read_run
+from repro.core.recovery import list_headers, read_block
 from repro.core.run import GROOMED, IndexRun, IndexSpec
 from repro.storage import CacheManager, StorageHierarchy
 from repro.storage.cache import BlockSource, _block_key, _header_key
@@ -136,9 +138,10 @@ def test_read_shared_run_roundtrip(cm):
     run = mkrun()
     cm.write_run(run, persisted=True, cache_tier="none")
     hdr = list_headers(cm.h.shared)[0]
-    r2 = read_run(cm.h.shared, hdr)
-    for f in SPEC.fields:
-        assert (r2.cols[f] == run.cols[f]).all()
+    key, cols = IndexRun.read_entries([IndexRun.from_header(hdr)], partial(read_block, cm.h.shared))
+    assert (key == run.key).all()
+    for f in SPEC.rest_fields:
+        assert (cols[f] == run.cols[f]).all()
 
 
 @pytest.mark.parametrize("a,b", [(0, 5), (3, 27), (7, 8), (0, 50), (49, 50)])
@@ -146,7 +149,7 @@ def test_block_source_slice_spans_blocks(cm, a, b):
     """A contiguous take() across block boundaries."""
     run = mkrun(n=50)
     cm.write_run(run, persisted=True, cache_tier="ssd")
-    src = BlockSource(cm, run)
+    src = BlockSource(cm.read_block, run)
     got = src.take(("h", "t"), np.arange(a, b))
     assert (got["h"] == run.cols["h"][a:b]).all()
     assert (got["t"] == run.cols["t"][a:b]).all()
@@ -156,7 +159,7 @@ def test_block_source_value_at(cm):
     """Single-entry take()s, each value as stored."""
     run = mkrun(n=50)
     cm.write_run(run, persisted=True, cache_tier="ssd")
-    src = BlockSource(cm, run)
+    src = BlockSource(cm.read_block, run)
     for i in (0, 7, 8, 9, 49):
         assert int(src.take(("t",), np.asarray([i]))["t"][0]) == int(run.cols["t"][i])
 
@@ -164,7 +167,7 @@ def test_block_source_value_at(cm):
 def test_block_source_caches_blocks_per_query(cm):
     run = mkrun(n=50)
     cm.write_run(run, persisted=True, cache_tier="ssd")
-    src = BlockSource(cm, run)
+    src = BlockSource(cm.read_block, run)
     cm.h.stats.reset()
     src.take(("h",), np.asarray([0]))
     src.take(("h", "t"), np.asarray([1, 7, 0]))  # same block: no second tier read
@@ -172,7 +175,7 @@ def test_block_source_caches_blocks_per_query(cm):
     src.take(("h",), np.asarray([8, 0, 49]))  # two new blocks, one read each
     assert cm.h.stats.snapshot()["reads"]["ssd"] == 3
     # a new source (new query) re-reads — blocks were released (§7)
-    src2 = BlockSource(cm, run)
+    src2 = BlockSource(cm.read_block, run)
     src2.take(("h",), np.asarray([0]))
     assert cm.h.stats.snapshot()["reads"]["ssd"] == 4
 
@@ -200,7 +203,7 @@ def test_block_source_slot_buffer_grows_to_run_block_count(cm):
     tier once per source."""
     run = mkrun(n=50)  # 7 blocks of 8 rows, the last holding 2
     cm.write_run(run, persisted=True, cache_tier="ssd")
-    src = BlockSource(cm, run)
+    src = BlockSource(cm.read_block, run)
     cm.h.stats.reset()
     rng = np.random.default_rng(3)
     seen: set[int] = set()
@@ -237,7 +240,7 @@ def test_block_source_buffer_is_allocated_once(cm):
     firsts = np.arange(run.n_blocks) * spec.block_rows
     tracemalloc.start()
     try:
-        src = BlockSource(cm, run)
+        src = BlockSource(cm.read_block, run)
         buf = src._buf
         for chunk in np.array_split(firsts, 8):
             src.take(("h",), chunk)
@@ -253,8 +256,6 @@ def test_merge_of_header_only_runs_equals_merge_of_resident_copies(cm):
     """A merge reads each block of its header-only inputs once — from the
     SSD if cached, else from shared storage, without caching it there —
     and writes the same blocks as a merge of resident copies."""
-    from functools import partial
-
     # Whole and partial blocks, an empty run, and identical entries across
     # runs (the same gbid twice), which the merge collapses.
     runs = [mkrun(0, n=50), mkrun(1, n=16), mkrun(0, n=50), mkrun(2, n=0), mkrun(3, n=23)]
@@ -263,7 +264,7 @@ def test_merge_of_header_only_runs_equals_merge_of_resident_copies(cm):
     purged = runs[1::2]
     for r in purged:
         cm.purge_run(r.run_id)
-    copies = [read_run(cm.h.shared, r.header_json()) for r in runs]
+    copies = [copy.deepcopy(r) for r in runs]
     for r in runs:
         r.drop_entries()
     cm.h.stats.reset()

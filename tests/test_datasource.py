@@ -12,6 +12,7 @@ from repro.oracle import assert_equivalent
 from repro.sparkio.datasource import UmziDataSource, UmziReader
 from repro.sparkio.scan import full_scan_baseline, unified_view
 from repro.storage import CacheManager, StorageHierarchy
+from repro.storage.tiers import DirTier
 
 SPEC = IndexSpec(eq_cols=("k",), sort_cols=("s",), include_cols=("v",), hash_bits=4, block_rows=64)
 CFG = UmziConfig(K=2, T=2, groomed_max_level=2, pg_min_level=3, pg_max_level=5)
@@ -244,6 +245,39 @@ def test_full_run_read_returns_rid_columns_unchanged(tmp_path):
         d = b.to_pydict()
         got += zip(*(d[c] for c in cols))
     assert sorted(got) == sorted(zip(df.k, df.s, df.ts, *rid, df.v))
+
+def test_reader_reads_only_the_blocks_its_search_touches(tmp_path, monkeypatch):
+    """A partition read with every equality column pushed reads only the
+    data blocks its search touches (§7.1.1), not the whole run; a read
+    without one reads each block once and returns every entry."""
+    from pyspark.sql.datasource import EqualTo
+
+    hier = StorageHierarchy(str(tmp_path))
+    ix = UmziIndex(SPEC, CFG, CacheManager(hier))
+    df = entries(0, n=1000)
+    ix.add_groomed_run(groomed_run(df, 0))
+    n_blocks = ix.groomed.snapshot()[0].run.n_blocks
+    assert n_blocks > 4
+    reads, get = [], DirTier.get
+
+    def counted_get(tier, key):
+        if "/block." in key:
+            reads.append(key)
+        return get(tier, key)
+
+    monkeypatch.setattr(DirTier, "get", counted_get)
+    reader = reader_for(hier)
+    list(reader.pushFilters([EqualTo(("k",), 7)]))
+    _, rows = scan_rows(reader)
+    assert 0 < len(reads) < n_blocks
+    latest = df[df.k == 7].sort_values("ts").groupby("s").last().reset_index()
+    assert rows == versions(latest)
+
+    reads.clear()
+    _, rows = scan_rows(reader_for(hier))
+    assert sorted(reads) == sorted(set(reads)) and len(reads) == n_blocks
+    assert rows == versions(df)
+
 
 def test_scan_drops_runs_contained_in_a_merged_run(tmp_path):
     """§5.5: a merged run persisted beside its not-yet-GC'd inputs is the

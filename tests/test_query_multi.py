@@ -1,12 +1,13 @@
 """Cross-run query reconciliation — paper §7.1.2 / §7.2 — against a
 pandas oracle, with updates, time travel and both reconciliation methods."""
+import copy
+
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.core import query as q
 from repro.core.index import UmziConfig, UmziIndex
-from repro.core.recovery import read_run
 from repro.core.run import GROOMED, POSTGROOMED, IndexRun, IndexSpec
 from repro.core.runlist import RunHandle
 from repro.storage import CacheManager, StorageHierarchy, capture_io
@@ -438,10 +439,10 @@ def test_memory_and_ssd_runs_charge_the_same_block_reads(tmp_path):
         begin_ts=np.arange(n), rid_zone=np.zeros(n), rid_block=np.zeros(n),
         rid_off=np.arange(n),
     )
+    mem_ix = UmziIndex(spec)
+    mem_ix.add_groomed_run(copy.deepcopy(run))
     ssd_ix = UmziIndex(spec, cache=CacheManager(StorageHierarchy(str(tmp_path))))
     ssd_ix.add_groomed_run(run)  # persisted: the run keeps only its header
-    mem_ix = UmziIndex(spec)
-    mem_ix.add_groomed_run(read_run(ssd_ix.cache.h.shared, run.header_json()))
     for ks in (g.integers(0, 50, 3), g.integers(0, 50, 400)):
         ss = g.integers(0, 5, len(ks))
         charged = []

@@ -1,14 +1,16 @@
 """Recovery — paper §5.5 and the non-persisted-level rules of §6.1."""
+from functools import partial
+
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.core import query as q
 from repro.core.index import UmziConfig, UmziIndex
-from repro.core.recovery import list_headers, read_run, recover
+from repro.core.recovery import list_headers, read_block, recover
 from repro.core.run import GROOMED, POSTGROOMED, IndexRun, IndexSpec
 from repro.storage import CacheManager, StorageHierarchy
-from repro.storage.cache import _block_key
+from repro.storage.cache import BlockSource, _block_key
 
 SPEC = IndexSpec(eq_cols=("k",), sort_cols=("s",), hash_bits=4, block_rows=32)
 CFG = UmziConfig(K=2, T=2, groomed_max_level=3, pg_min_level=4, pg_max_level=6)
@@ -213,6 +215,10 @@ def test_nonpersisted_ancestors_deleted_after_repersist(tmp_path):
         ix.maintain()
         dfs.append(df)
     df = pd.concat(dfs, ignore_index=True)
+    # Every file of a run on shared storage belongs to a listed header:
+    # the deleted ancestors left no data block behind.
+    listed = {h["run_id"] for h in list_headers(hier.shared)}
+    assert {k.split("/")[1] for k in hier.shared.list("runs/")} <= listed
     # L2 is persisted: every shared-storage run must now be queryable and
     # no stale ancestor may shadow newer data.
     hier.crash_node()
@@ -253,11 +259,11 @@ def test_recover_returns_rid_columns_unchanged(tmp_path):
     ix2 = recover(SPEC, CFG, CacheManager(hier))
     # Both runs are header-only: the built one once persisted, the
     # recovered one by recovery. Their entries are on shared storage.
-    (got,) = [read_run(hier.shared, h.run.header_json()) for h in ix2.query_snapshot().runs]
-    run = read_run(hier.shared, run.header_json())
+    (got,) = [h.run for h in ix2.query_snapshot().runs]
 
     def rows(r):
-        d = r._decode(r.cols)
+        src = BlockSource(partial(read_block, hier.shared), r)
+        d = r._decode(src.take(SPEC.fields, np.arange(r.n_entries)))
         cols = ("k", "s", "begin_ts", "rid_zone", "rid_block", "rid_off")
         return sorted(zip(*(d[c].tolist() for c in cols)))
 

@@ -165,13 +165,15 @@ def test_header_roundtrip(spec):
     e = make_entries(200, seed=4)
     run = build(spec, e)
     blocks = [run.block_bytes(i) for i in range(run.n_blocks)]
-    r2 = IndexRun.from_header_and_blocks(run.header_json(), blocks)
-    assert r2.run_id == run.run_id
+    r2 = IndexRun.from_header(run.header_json())
+    assert r2.run_id == run.run_id and not r2.resident
     assert r2.zone == run.zone and r2.level == run.level
     assert (r2.offset_array == run.offset_array).all()
     assert r2.synopsis == run.synopsis
-    for f in spec.fields:
-        assert (r2.cols[f] == run.cols[f]).all()
+    key, cols = IndexRun.read_entries([r2], lambda _run_id, i: blocks[i])
+    assert (key == run.key).all()
+    for f in spec.rest_fields:
+        assert (cols[f] == run.cols[f]).all()
 
 
 def test_merge_runs_preserves_all_versions():

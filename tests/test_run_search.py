@@ -1,4 +1,7 @@
 """Single-run search — paper §7.1.1, including the Fig. 2 worked example."""
+import copy
+from functools import partial
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -185,15 +188,13 @@ def test_rid_decoding():
 def test_block_source_equals_memory_source(block_rows, tmp_path):
     from repro.core import query as q
     from repro.core.index import UmziIndex
-    from repro.core.recovery import read_run
     from repro.storage import CacheManager, StorageHierarchy
     from repro.storage.cache import BlockSource
 
     spec, run = paper_fig2_run(block_rows=block_rows)
-    hier = StorageHierarchy(str(tmp_path))
-    cm = CacheManager(hier)
+    cm = CacheManager(StorageHierarchy(str(tmp_path)))
     cm.write_run(run, persisted=True, cache_tier="none")
-    src = BlockSource(cm, run)
+    src = BlockSource(cm.read_block, run)
     for dev in (1, 3, 4, 5, 8, 9):
         for qts in (94, 100, 105):
             a = run.search((dev,), (0,), (3,), qts)
@@ -201,10 +202,10 @@ def test_block_source_equals_memory_source(block_rows, tmp_path):
             assert a["begin_ts"].tolist() == b["begin_ts"].tolist()
             assert a["msg"].tolist() == b["msg"].tolist()
     # batch_lookup over the same run, memory-resident vs block-backed
+    mem_ix = UmziIndex(spec)
+    mem_ix.add_groomed_run(copy.deepcopy(run))
     blk_ix = UmziIndex(spec, cache=CacheManager(StorageHierarchy(str(tmp_path / "ix"))))
     blk_ix.add_groomed_run(run)  # persisted: the run keeps only its header
-    mem_ix = UmziIndex(spec)
-    mem_ix.add_groomed_run(read_run(hier.shared, run.header_json()))
     devs = np.asarray([1, 3, 3, 4, 4, 4, 5, 8, 9], np.int64)
     msgs = np.asarray([1, 0, 1, 1, 2, 3, 1, 2, 0], np.int64)
     for qts in (94, 100, 105):
@@ -287,7 +288,7 @@ def test_search_sorted_matches_linear_scan(seed, tmp_path):
             lo[rand] = g.integers(0, n + 1, rand.sum())
             hi[rand] = np.minimum(n, lo[rand] + g.integers(0, n + 1, rand.sum()))
             for side in ("left", "right"):
-                mem, blk = MemorySource(run), BlockSource(cm, run)
+                mem, blk = MemorySource(run), BlockSource(cm.read_block, run)
                 got = search_sorted(mem, needles, lo, hi, side)
                 assert (search_sorted(blk, needles, lo, hi, side) == got).all()
                 assert (mem._touched == blk._touched).all()
@@ -302,10 +303,11 @@ def test_search_sorted_matches_linear_scan(seed, tmp_path):
 def test_run_key_is_the_order_columns_and_every_form_answers_alike(tmp_path):
     """The order fields are views of the run's memcmp key, not copies;
     and a run answers ``search`` and ``batch_lookup`` identically built in
-    memory, read through a BlockSource, and rebuilt from its blocks."""
+    memory, read through its cache, and read by its header from shared
+    storage."""
     from repro.core import query as q
     from repro.core.index import UmziIndex
-    from repro.core.recovery import read_run
+    from repro.core.recovery import read_block
     from repro.storage import CacheManager, StorageHierarchy
     from repro.storage.cache import BlockSource
 
@@ -325,18 +327,20 @@ def test_run_key_is_the_order_columns_and_every_form_answers_alike(tmp_path):
     for f in spec.rest_fields:
         assert not np.shares_memory(run.key, run.cols[f]), f
 
-    blocks = [run.block_bytes(i) for i in range(run.n_blocks)]
-    rebuilt = IndexRun.from_header_and_blocks(run.header_json(), blocks)
+    built = copy.deepcopy(run)
     cm = CacheManager(StorageHierarchy(str(tmp_path)))
     on_ssd = UmziIndex(spec, cache=cm)
     on_ssd.add_groomed_run(run)
     assert isinstance(on_ssd.source_for(run), BlockSource)
     assert not run.resident  # persisted: the run keeps only its header
-    built, run = run, read_run(cm.h.shared, run.header_json())
-    indexes = [UmziIndex(spec), on_ssd, UmziIndex(spec)]
-    indexes[0].add_groomed_run(run)
-    indexes[2].add_groomed_run(rebuilt)
-    forms = [(run, None), (built, BlockSource(cm, built)), (rebuilt, None)]
+    shared = IndexRun.from_header(run.header_json())
+    indexes = [UmziIndex(spec), on_ssd]
+    indexes[0].add_groomed_run(built)
+    forms = [
+        (built, None),
+        (run, BlockSource(cm.read_block, run)),
+        (shared, BlockSource(partial(read_block, cm.h.shared), shared)),
+    ]
 
     def searches(r, source):
         return [

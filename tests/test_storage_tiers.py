@@ -1,4 +1,5 @@
 """Storage tiers and the virtual I/O clock — paper §6 substrate."""
+import os
 import threading
 
 import pytest
@@ -41,6 +42,10 @@ def test_shared_storage_is_append_only(hier):
 def test_dir_tier_rejects_path_escape(hier):
     with pytest.raises(ValueError):
         hier.shared.put("../evil", b"x")
+    # A sibling directory whose name starts with the root's name.
+    with pytest.raises(ValueError):
+        hier.shared.put("../shared2/x", b"x")
+    assert not os.path.exists(os.path.join(hier.shared.root + "2", "x"))
 
 
 def test_list_with_prefix(hier):

@@ -1,6 +1,7 @@
 """Wildfire-lite lifecycle — paper §2.1 (live → groomed → post-groomed)."""
 import io
 import os
+from functools import partial
 
 import numpy as np
 import pandas as pd
@@ -9,7 +10,7 @@ import pytest
 
 from repro.core import query as q
 from repro.core.index import UmziConfig, UmziIndex
-from repro.core.recovery import read_run
+from repro.core.recovery import read_block
 from repro.core.run import GROOMED, IndexRun
 from repro.experiments import defs
 from repro.storage import CacheManager, StorageHierarchy
@@ -151,7 +152,8 @@ class TestGroomer:
                 assert not meta.row_group(rg).column(c).has_dictionary_page
         # The groomer's run is the run built over the read-back block. It
         # is persisted and header-only; its entries are on shared storage.
-        run = read_run(hier.shared, ix.groomed.snapshot()[0].run.header_json())
+        run = ix.groomed.snapshot()[0].run
+        key, cols = IndexRun.read_entries([run], partial(read_block, hier.shared))
         spec = ix.spec
         ref = IndexRun.build(
             spec, zone=GROOMED, level=0, gbid_lo=gbid, gbid_hi=gbid,
@@ -163,9 +165,9 @@ class TestGroomer:
             rid_off=blk["rid_off"].to_numpy(),
             includes={c: blk[c].to_numpy() for c in spec.include_cols},
         )
-        assert run.cols.keys() == ref.cols.keys()
-        for f in spec.fields:
-            np.testing.assert_array_equal(run.cols[f], ref.cols[f])
+        np.testing.assert_array_equal(key, ref.key)
+        for f in spec.rest_fields:
+            np.testing.assert_array_equal(cols[f], ref.cols[f])
 
     def test_groomed_data_queryable_via_index(self, stack):
         _, ix, shard, groomer, *_ = stack
