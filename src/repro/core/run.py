@@ -202,16 +202,21 @@ class EntrySource:
 
     All searches read through :meth:`keys`, :meth:`take` and
     :meth:`search_blocks`, so one kernel serves memory-resident runs and
-    SSD/shared-storage block-backed runs. A data block is loaded on its
-    first touch only: each block costs one read per (run, query), the
-    batch amortization of §8.3.2 ("once an index block is fetched into
-    memory for the lookup of a particular key, no additional I/O is
-    required to fetch that block again").
+    SSD/shared-storage block-backed runs. Both hold the run's arrays
+    indexed by run position: ``key``, the memcmp keys (§4.2), and
+    ``cols``, every field by name; a subclass makes a block's rows of them
+    readable in :meth:`_load`. A data block is loaded on its first touch
+    only: each block costs one read per (run, query), the batch
+    amortization of §8.3.2 ("once an index block is fetched into memory
+    for the lookup of a particular key, no additional I/O is required to
+    fetch that block again").
     """
 
-    def __init__(self, spec: IndexSpec, n_entries: int):
+    def __init__(self, spec: IndexSpec, n_entries: int, key: np.ndarray, cols: dict[str, np.ndarray]):
         self.spec = spec
         self.n_entries = n_entries
+        self.key = key
+        self.cols = cols
         self._touched = np.zeros(max(1, -(-n_entries // spec.block_rows)), dtype=bool)
 
     def touch(self, positions: np.ndarray) -> np.ndarray:
@@ -227,12 +232,14 @@ class EntrySource:
 
     def take(self, fields, positions: np.ndarray) -> dict[str, np.ndarray]:
         """``fields`` of the entries at ``positions`` (int64 array)."""
-        return self._gather(fields, positions, self.touch(positions))
+        self.touch(positions)
+        return {f: self.cols[f][positions] for f in fields}
 
     def keys(self, positions: np.ndarray) -> np.ndarray:
         """The memcmp keys (order fields, §4.2) of the entries at
         ``positions``."""
-        return self._gather_keys(positions, self.touch(positions))
+        self.touch(positions)
+        return np.take(self.key, positions)
 
     def loaded(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Whether every block of each non-empty range ``[a, b)`` is loaded."""
@@ -249,22 +256,17 @@ class EntrySource:
         raise NotImplementedError
 
     def _load(self, blocks: np.ndarray) -> None:
-        """Make ``blocks`` (touched for the first time) readable."""
-        raise NotImplementedError
-
-    def _gather(self, fields, positions: np.ndarray, blocks: np.ndarray) -> dict[str, np.ndarray]:
-        """``take`` once every block in ``blocks`` (of ``positions``) is loaded."""
-        raise NotImplementedError
-
-    def _gather_keys(self, positions: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-        """``keys`` once every block in ``blocks`` (of ``positions``) is loaded."""
+        """Make the rows of ``blocks`` (touched for the first time)
+        readable in ``key`` and ``cols``, charging one read of each."""
         raise NotImplementedError
 
 
 class MemorySource(EntrySource):
     """Entries fully resident in the run's key and columns; a block's
-    first touch charges one modelled SSD read to the ambient
-    ``capture_io`` scope.
+    first touch charges one modelled SSD read of the bytes the stored
+    block holds to the ambient ``capture_io`` scope, as a
+    :class:`~repro.storage.cache.BlockSource` read of it from the SSD
+    would.
 
     Only a run resident by configuration has them: one of an index with no
     storage hierarchy (the §8.3 microbenchmarks), or one at a non-persisted
@@ -273,9 +275,7 @@ class MemorySource(EntrySource):
     def __init__(self, run: "IndexRun"):
         if not run.resident:
             raise ValueError(f"run {run.run_id} is header-only: read it through its cache")
-        super().__init__(run.spec, run.n_entries)
-        self.key = run.key
-        self.cols = run.cols
+        super().__init__(run.spec, run.n_entries, run.key, run.cols)
 
     def search_blocks(self, needles, a, b, right):
         # The run is sorted as a whole, so one search over all of it,
@@ -288,16 +288,11 @@ class MemorySource(EntrySource):
 
     def _load(self, blocks: np.ndarray) -> None:
         # Imported here: repro.storage imports this module.
-        from repro.storage.tiers import charge_cached_blocks
+        from repro.storage.tiers import SSD_LATENCY, capture_reads
 
         spec = self.spec
-        charge_cached_blocks(len(blocks), spec.block_rows * 8 * len(spec.fields))
-
-    def _gather(self, fields, positions, blocks):
-        return {f: self.cols[f][positions] for f in fields}
-
-    def _gather_keys(self, positions, blocks):
-        return np.take(self.key, positions)
+        rows = np.minimum(spec.block_rows, self.n_entries - blocks * spec.block_rows)
+        capture_reads("ssd", len(blocks), int(rows.sum()) * 8 * len(spec.fields), SSD_LATENCY)
 
 
 _U64_MAX = (1 << 64) - 1

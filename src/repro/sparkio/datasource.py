@@ -14,14 +14,15 @@ The reader's life cycle (driver side):
    the pushed filters, and emits one input partition per surviving run.
    It never deletes anything;
 3. ``read`` (executor side) reads that run from its header and shared
-   storage: a search through a ``BlockSource`` that reads only the blocks
-   it touches if every equality column is pushed, else every block once
-   (``IndexRun.read_entries``); it yields Arrow record batches of decoded
-   index entries tagged with ``_run_rank`` (recency rank) for
-   reconciliation in ``scan.unified_view``.
+   storage through one ``BlockSource``: a search that reads only the
+   blocks it touches if every equality column is pushed, else every block
+   once, decoded from the source's arrays in place. It yields Arrow record
+   batches of decoded index entries tagged with ``_run_rank`` (recency
+   rank) for reconciliation in ``scan.unified_view``.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import partial
 
@@ -39,7 +40,6 @@ from pyspark.sql.datasource import (
 )
 from pyspark.sql.types import LongType, StructField, StructType
 
-from repro.core import encoding as enc
 from repro.core.recovery import plan_runs, read_block
 from repro.core.run import GROOMED, POSTGROOMED, IndexRun, IndexSpec, synopsis_overlaps
 from repro.storage.cache import BlockSource
@@ -54,7 +54,10 @@ class _RunPartition(InputPartition):
 
 
 def _shared(root: str) -> DirTier:
-    """The index's shared storage, opened where the reader runs."""
+    """The index's shared storage, opened where the reader runs. The
+    reader only reads: a missing ``root`` raises rather than being made."""
+    if not os.path.isdir(root):
+        raise FileNotFoundError(f"no index shared storage at {root!r}")
     return DirTier("shared", root, IOStats(), SHARED_LATENCY)
 
 
@@ -138,17 +141,18 @@ class UmziReader(DataSourceReader):
     # ------------------------------------------------------------------ read
     def read(self, partition: _RunPartition):
         run = IndexRun.from_header(partition.header)
-        read = partial(read_block, _shared(self.root))
+        src = BlockSource(partial(read_block, _shared(self.root)), run)
         spec = run.spec
         if spec.eq_cols and all(c in partition.eq_values for c in spec.eq_cols):
             # All equality columns pushed: offset-array + binary search
             # instead of emitting the whole run. Searching at the scan's
             # query_ts keeps per-run dedup consistent with the snapshot.
             eq_vals = tuple(int(partition.eq_values[c]) for c in spec.eq_cols)
-            res = run.search(eq_vals, None, None, self.query_ts, source=BlockSource(read, run))
+            res = run.search(eq_vals, None, None, self.query_ts, source=src)
         else:
-            key, cols = IndexRun.read_entries([run], read)
-            res = run._decode(dict(zip(spec.order_fields, enc.key_columns(key).T)) | cols)
+            # Touch every block once, then decode the arrays in place.
+            src.touch(np.arange(0, run.n_entries, spec.block_rows))
+            res = run._decode(src.cols)
         n = len(res["begin_ts"])
         if n == 0:
             return

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core import encoding as enc
 from repro.core.run import EntrySource, IndexRun
 from repro.storage.tiers import StorageHierarchy
 
@@ -187,36 +188,32 @@ class CacheManager:
 class BlockSource(EntrySource):
     """Query-side entry source reading a header-only run's data blocks.
 
-    Each touched block is read once with ``read_block(run_id, i) -> bytes``
-    (:meth:`CacheManager.read_block`, or a shared-storage read where no
-    cache is held, as in the Spark ``umzi`` reader), decoded, and copied
-    into its slot of two buffers allocated once with ``np.empty``: one ``(n_blocks, block_rows)`` array of memcmp keys and
-    one ``(n_blocks, len(spec.rest_fields), block_rows)`` uint64 array of
-    the other fields. The keys come over with one copy of the block's
-    bytes. A gather is then one fancy index per field, whichever blocks
-    its positions fall in. Pages no block is copied into are never
-    written, so the OS need not back them: a query's memory grows with the
-    blocks it touches, not with the run. The buffers live only as long as
-    this source (one query), matching §7: "after the query is finished, the
-    cached data blocks are released".
+    Its ``key`` and ``cols`` are arrays of the run's length allocated
+    once with ``np.empty``, as a resident run's are: the memcmp keys, the
+    order fields as views of them (as in :class:`IndexRun`), and one
+    uint64 array per other field. Each touched block is read once with
+    ``read_block(run_id, i) -> bytes`` (:meth:`CacheManager.read_block`,
+    or a shared-storage read where no cache is held, as in the Spark
+    ``umzi`` reader), decoded, and copied into that block's rows; the tier
+    read charges the query for the block's bytes. A gather is then the
+    same position index as over a resident run. Pages no block is copied
+    into are never written, so the OS need not back them: a query's
+    memory grows with the blocks it touches, not with the run. The arrays
+    live only as long as this source (one query), matching §7: "after the
+    query is finished, the cached data blocks are released".
     """
 
     def __init__(self, read_block, run: IndexRun):
-        super().__init__(run.spec, run.n_entries)
+        spec, n = run.spec, run.n_entries
+        key = np.empty(n, f"S{8 * len(spec.order_fields)}")
+        cols = dict(zip(spec.order_fields, enc.key_columns(key).T))
+        super().__init__(spec, n, key, cols | {f: np.empty(n, np.uint64) for f in spec.rest_fields})
         self.read_block = read_block
         self.run_id = run.run_id
-        spec = run.spec
-        nb, br, nk = run.n_blocks, spec.block_rows, len(spec.order_fields)
-        self._key = np.empty((nb, br), f"S{8 * nk}")
-        self._kcols = self._key.view(">u8").reshape(nb, br, nk)
-        # Field -> its column in ``_kcols``, or its row in ``_buf``.
-        self._kcol = {f: i for i, f in enumerate(spec.order_fields)}
-        self._col = {f: i for i, f in enumerate(spec.rest_fields)}
-        self._buf = np.empty((nb, len(spec.rest_fields), br), np.uint64)
 
     def search_blocks(self, needles, a, b, right):
-        # Loaded blocks sit in key order in the flat buffer: one search
-        # per group of ranges over the same blocks, searched on one side.
+        # Loaded blocks sit in key order in ``key``: one search per group
+        # of ranges over the same blocks, searched on one side.
         br = self.spec.block_rows
         live = np.flatnonzero(a < b)
         first, last, side = self.touch(a[live]), (b[live] - 1) // br, right[live]
@@ -225,34 +222,22 @@ class BlockSource(EntrySource):
         new = np.flatnonzero(
             np.diff(first, prepend=-1) | np.diff(last, prepend=-1) | np.diff(side, prepend=-1)
         )
-        flat = self._key.reshape(-1)
         out = a.copy()
         for x, y, r, sel in zip(
             first[new].tolist(), last[new].tolist(), side[new].tolist(), np.split(live, new[1:])
         ):
             lo, hi = x * br, min((y + 1) * br, self.n_entries)
-            out[sel] = np.searchsorted(flat[lo:hi], needles[sel], "right" if r else "left") + lo
+            out[sel] = np.searchsorted(self.key[lo:hi], needles[sel], "right" if r else "left") + lo
         return np.clip(out, a, b)
 
     def _load(self, blocks: np.ndarray) -> None:
         br = self.spec.block_rows
         for bi in blocks.tolist():
-            rows = min(br, self.n_entries - bi * br)
+            lo = bi * br
+            rows = min(br, self.n_entries - lo)
             key, rest = IndexRun.decode_block(
                 self.spec, self.read_block(self.run_id, bi), rows
             )
-            self._key[bi, :rows] = key
-            self._buf[bi, :, :rows] = rest
-
-    def _gather(self, fields, positions, blocks):
-        offs = positions - blocks * self.spec.block_rows
-        return {
-            f: self._kcols[blocks, offs, self._kcol[f]]
-            if f in self._kcol
-            else self._buf[blocks, self._col[f], offs]
-            for f in fields
-        }
-
-    def _gather_keys(self, positions, blocks):
-        # A position is its own index into the flat buffer.
-        return np.take(self._key.reshape(-1), positions)
+            self.key[lo : lo + rows] = key
+            for f, c in zip(self.spec.rest_fields, rest):
+                self.cols[f][lo : lo + rows] = c

@@ -197,13 +197,15 @@ def test_read_block_survives_purge_mid_read(cm, monkeypatch):
     assert cm.h.ssd.exists(key)
 
 
-def test_block_source_slot_buffer_grows_to_run_block_count(cm):
-    """Random takes over a run with a partial last block: the slot buffer
-    holds one slot per block of the run, and each block is read from its
-    tier once per source."""
+def test_block_source_reads_each_block_once_per_source(cm):
+    """Random takes over a run with a partial last block: each block is
+    read from its tier once per source, into arrays of the run's length
+    whose values are the run's."""
     run = mkrun(n=50)  # 7 blocks of 8 rows, the last holding 2
     cm.write_run(run, persisted=True, cache_tier="ssd")
     src = BlockSource(cm.read_block, run)
+    assert len(src.key) == run.n_entries
+    assert all(len(src.cols[f]) == run.n_entries for f in SPEC.fields)
     cm.h.stats.reset()
     rng = np.random.default_rng(3)
     seen: set[int] = set()
@@ -214,18 +216,18 @@ def test_block_source_slot_buffer_grows_to_run_block_count(cm):
             assert (got[f] == run.cols[f][pos]).all()
         seen |= set((pos // SPEC.block_rows).tolist())
         assert cm.h.stats.snapshot()["reads"]["ssd"] == len(seen)
-        assert len(src._buf) <= run.n_blocks
     got = src.take(SPEC.fields, np.arange(run.n_entries))
     for f in SPEC.fields:
         assert (got[f] == run.cols[f]).all()
+    assert (src.keys(np.arange(run.n_entries)) == run.key).all()
     assert cm.h.stats.snapshot()["reads"]["ssd"] == run.n_blocks
-    assert len(src._buf) == run.n_blocks
 
 
 def test_block_source_buffer_is_allocated_once(cm):
-    """Takes that touch every block of a 300K-entry run keep one slot
-    buffer: ``_buf`` is the same object after every load, and the traced
-    peak stays within 1.1x the run's block data."""
+    """Takes that touch every block of a 300K-entry run keep the arrays
+    allocated with the source: ``key`` and each of ``cols`` are the same
+    objects after every load, and the traced peak stays within 1.1x the
+    run's block data."""
     spec = IndexSpec(eq_cols=("k",), sort_cols=("s",), include_cols=("v",), block_rows=4096)
     n = 300_000
     g = np.random.default_rng(0)
@@ -241,10 +243,11 @@ def test_block_source_buffer_is_allocated_once(cm):
     tracemalloc.start()
     try:
         src = BlockSource(cm.read_block, run)
-        buf = src._buf
+        key, cols = src.key, dict(src.cols)
         for chunk in np.array_split(firsts, 8):
             src.take(("h",), chunk)
-            assert src._buf is buf
+            assert src.key is key
+            assert all(src.cols[f] is c for f, c in cols.items())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -155,6 +155,15 @@ def test_reader_visibility_excludes_covered_runs(populated):
     assert part_runs == expected
 
 
+def test_reader_on_a_missing_path_raises_and_creates_nothing(tmp_path):
+    """The reader only reads: a mistyped ``path`` raises, naming it, and
+    no directory is left behind."""
+    missing = tmp_path / "typo" / "shared"
+    with pytest.raises(FileNotFoundError, match="typo"):
+        UmziDataSource({"path": str(missing)}).schema()
+    assert not (tmp_path / "typo").exists()
+
+
 def scan_rows(reader):
     """Plan the partitions and read each one, as the driver and executors
     would: (partitions, set of emitted versions)."""

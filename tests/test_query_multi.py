@@ -427,11 +427,11 @@ def test_batch_lookup_duplicate_probes_one_row_per_key(cache):
 
 
 def test_memory_and_ssd_runs_charge_the_same_block_reads(tmp_path):
-    """One modelled SSD read per data block a query touches, whether the
-    run is memory-resident or read block by block from the SSD cache; a
-    block counts once per (run, query)."""
+    """One modelled SSD read per data block a query touches, of the bytes
+    the block holds, whether the run is memory-resident or read block by
+    block from the SSD cache; a block counts once per (run, query)."""
     spec = IndexSpec(eq_cols=("k",), sort_cols=("s",), hash_bits=3, block_rows=32)
-    n = 8 * 32  # whole blocks, so both sources charge equal block sizes
+    n = 8 * 32 + 5  # a partial last block is charged for its 5 rows alone
     g = np.random.default_rng(0)
     run = IndexRun.build(
         spec, zone=GROOMED, level=0, gbid_lo=0, gbid_hi=0,
