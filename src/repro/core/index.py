@@ -132,16 +132,10 @@ class UmziIndex:
         self.groomed.prepend(RunHandle(run, active=False))
 
     def _persist_new_run(self, run: IndexRun) -> None:
-        if self.cache is None:
-            return
-        nonp = run.level in self.config.nonpersisted_levels
-        if nonp:
-            tier = "mem"
-        else:
-            tier = "ssd" if run.level <= self.cache_level else "none"
-        self.cache.write_run(run, persisted=not nonp, cache_tier=tier)
-        if not nonp:
-            run.drop_entries()  # its header locates its blocks from now on
+        if self.cache is None or run.level in self.config.nonpersisted_levels:
+            return  # a non-persisted run stays resident, on no tier (§6.1)
+        self.cache.write_run(run, to_ssd=run.level <= self.cache_level)
+        run.drop_entries()  # its header locates its blocks from now on
 
     # ------------------------------------------------------------ maintenance
     def maintain(self) -> list[MergeEvent]:
@@ -307,17 +301,17 @@ class UmziIndex:
     # ------------------------------------------------------- cache management
     def apply_cache_level(self, level: int) -> None:
         """§6.2 — set the current cached level: purge every persisted run
-        above it, load every run at or below it that is not fully cached."""
+        above it, load every one at or below it. Both are no-ops on a run
+        already purged or fully cached."""
         if self.cache is None:
             raise ValueError("no storage hierarchy attached")
         self.cache_level = level
         for h in self.groomed.snapshot() + self.postgroomed.snapshot():
-            st = self.cache.state(h.run.run_id)
-            if not st.persisted:
-                continue  # non-persisted runs live in memory, never purged
-            if h.level > level and st.local != "none":
+            if h.run.resident:
+                continue  # a non-persisted run lives in memory, never purged
+            if h.level > level:
                 self.cache.purge_run(h.run.run_id)
-            elif h.level <= level and st.local != "ssd":
+            else:
                 self.cache.load_run(h.run.run_id)
 
     def auto_adjust_cache(self, ssd_capacity_bytes: int) -> None:

@@ -117,21 +117,18 @@ def recover(
     shared = cache.h.shared
     plan = plan_runs(shared)
     for h in plan.drop:
-        # Registered first, so delete_run knows the blocks to delete too.
-        cache.register_shared_run(h)
-        cache.delete_run(h["run_id"], from_shared=True)
+        cache.delete_run(h["run_id"])
 
     for chain, policy in (
         (index.groomed, index._g_policy),
         (index.postgroomed, index._pg_policy),
     ):
-        # Register each kept run with the cache (blocks still on shared
-        # storage only), as a header-only run from the header the plan
-        # read, and rebuild the chain in one atomic swap.
+        # Each kept run as a header-only run from the header the plan
+        # read (its blocks are on shared storage only), and the chain
+        # rebuilt in one atomic swap.
         handles = []
         for h in plan.keep[chain.zone]:
             run = IndexRun.from_header(h)
-            cache.register_shared_run(h)
             if run.level == policy.min_level:
                 policy.note_new_run(run)
             handles.append(RunHandle(run, active=False))

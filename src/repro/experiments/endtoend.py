@@ -67,15 +67,10 @@ def _apply_purge(index: UmziIndex, cache: CacheManager, mode: str) -> None:
         return
     handles = list(index.groomed.snapshot() + index.postgroomed.snapshot())
     # Oldest = highest level, lowest gbid: purge from the back of the chain.
-    persisted = [
-        h
-        for h in reversed(handles)
-        if cache.state(h.run.run_id).persisted
-    ]
+    persisted = [h for h in reversed(handles) if not h.run.resident]
     n = len(persisted) if mode == "all" else len(persisted) // 2
     for h in persisted[:n]:
-        if cache.state(h.run.run_id).local != "none":
-            cache.purge_run(h.run.run_id)
+        cache.purge_run(h.run.run_id)
 
 
 def run_e2e(cfg: E2EConfig) -> E2EResult:

@@ -66,8 +66,11 @@ class UmziDataSource(DataSource):
 
     * ``path`` — the *shared storage* directory of the index
       (``StorageHierarchy.shared.root``);
-    * ``query_ts`` — snapshot timestamp (visibility is enforced in
-      ``unified_view``; the reader only uses it for block-level hints).
+    * ``query_ts`` — snapshot timestamp. ``unified_view`` enforces
+      visibility across runs. With every equality column pushed, the
+      reader's ``run.search`` also keeps, within each run, only the
+      newest version of each key visible at ``query_ts``; an unfiltered
+      read returns every entry of the run.
     """
 
     @classmethod

@@ -4,9 +4,9 @@ Responsibilities, mapped to the paper:
 
 * **Persistence** (§5.5/§6.1): runs in *persisted* levels write header +
   data blocks to shared storage; runs in *non-persisted* levels live in
-  their run's columns in local memory, written to no tier, and carry
-  their ancestor run IDs so recovery can fall back to the persisted
-  ancestors.
+  their run's columns in local memory, never reach the manager, and
+  carry their ancestor run IDs so recovery can fall back to the
+  persisted ancestors.
 * **Caching** (§6.2): data blocks of recent runs are cached on the local
   SSD; a *current cached level* separates cached from purged runs.
   Purging a run drops its data blocks from the SSD but keeps the
@@ -20,12 +20,14 @@ Responsibilities, mapped to the paper:
   blocks live in the query's :class:`BlockSource` and are dropped with it.
   A merge reads its inputs the same way but caches nothing
   (``read_block(fill=False)``): they are GC'd right after.
+
+The manager keeps no state. What the tiers hold under ``runs/<run_id>/``
+is the one record of where a run's blocks are: purge, load and delete
+list that directory, so each is idempotent and needs no registration.
 """
 from __future__ import annotations
 
 import json
-import threading
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,65 +48,34 @@ def _block_key(run_id: str, i: int) -> str:
     return f"{_run_dir(run_id)}/block.{i:05d}"
 
 
-@dataclass
-class _RunState:
-    n_blocks: int
-    persisted: bool  # data blocks exist on shared storage
-    # Where the data blocks are locally: "mem" (resident in the run's own
-    # columns, no block copy), "ssd" (all cached), "partial" (a query
-    # fetched some of them after a purge) or "none".
-    local: str
+def _block_keys(tier, run_id: str) -> list[str]:
+    """The keys of the run's data blocks on ``tier``."""
+    return [k for k in tier.list(f"{_run_dir(run_id)}/") if k != _header_key(run_id)]
 
 
 class CacheManager:
-    """Mediates every block read/write between the index and the tiers."""
+    """Mediates every block read/write between the index and the tiers;
+    it keeps no state of its own (see the module docstring)."""
 
     def __init__(self, hierarchy: StorageHierarchy):
         self.h = hierarchy
-        self._runs: dict[str, _RunState] = {}
-        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ write
-    def write_run(
-        self, run: IndexRun, *, persisted: bool, cache_tier: str = "ssd"
-    ) -> None:
-        """Store a freshly built run; its entries stay in the run, which
-        the index then drops for a persisted one.
-
-        ``persisted``: also written to shared storage (mandatory for level
-        0 and all persisted levels, §6.1). ``cache_tier``: 'mem' | 'ssd' |
-        'none' — 'mem' keeps the run resident in its own columns and
-        writes no local copy; 'none' models a run created above the
-        current cached level (no write-through, §6.2); its header still
-        goes to shared.
-        """
-        if not persisted and cache_tier == "none":
-            raise ValueError("a non-persisted run must be cached locally (§6.1)")
-        tiers = ([self.h.shared] if persisted else []) + (
-            [self.h.ssd] if cache_tier == "ssd" else []
-        )
-        if tiers:
-            # The header first on each tier (a run missing blocks is
-            # incomplete, §5.5), then one block's bytes at a time.
-            hdr = json.dumps(run.header_json()).encode()
+    def write_run(self, run: IndexRun, *, to_ssd: bool) -> None:
+        """Persist a freshly built run to shared storage (§6.1) and, with
+        ``to_ssd``, write it through to the SSD cache (§6.2: a run created
+        at or below the current cached level). The index then drops the
+        run's entries."""
+        tiers = (self.h.shared, self.h.ssd) if to_ssd else (self.h.shared,)
+        # The header first on each tier (a run missing blocks is
+        # incomplete, §5.5), then one block's bytes at a time.
+        hdr = json.dumps(run.header_json()).encode()
+        for tier in tiers:
+            tier.put(_header_key(run.run_id), hdr)
+        for i in range(run.n_blocks):
+            blk = run.block_bytes(i)
             for tier in tiers:
-                tier.put(_header_key(run.run_id), hdr)
-            for i in range(run.n_blocks):
-                blk = run.block_bytes(i)
-                for tier in tiers:
-                    tier.put(_block_key(run.run_id, i), blk)
-        with self._lock:
-            self._runs[run.run_id] = _RunState(
-                n_blocks=run.n_blocks, persisted=persisted, local=cache_tier
-            )
-
-    def register_shared_run(self, header: dict) -> None:
-        """Track a run whose blocks are on shared storage only (recovery,
-        §5.5): queries fetch them on demand, purge and delete find them."""
-        with self._lock:
-            self._runs[header["run_id"]] = _RunState(
-                n_blocks=header["n_blocks"], persisted=True, local="none"
-            )
+                tier.put(_block_key(run.run_id, i), blk)
 
     # ------------------------------------------------------------------- read
     def read_block(self, run_id: str, i: int, *, fill: bool = True) -> bytes:
@@ -120,68 +91,45 @@ class CacheManager:
         except FileNotFoundError:
             pass
         data = self.h.shared.get(key)
-        if not fill:
-            return data
-        try:
-            self.h.ssd.put(key, data)
-        except FileExistsError:  # pragma: no cover - concurrent fetch race
-            pass
-        with self._lock:
-            st = self._runs.get(run_id)
-            if st is not None and st.local == "none":
-                st.local = "partial"  # load_run still fetches the rest
+        if fill:
+            try:
+                self.h.ssd.put(key, data)
+            except FileExistsError:  # pragma: no cover - concurrent fetch race
+                pass
         return data
 
-    def state(self, run_id: str) -> _RunState:
-        with self._lock:
-            return self._runs[run_id]
-
     def known_runs(self) -> list[str]:
-        with self._lock:
-            return sorted(self._runs)
+        """The IDs of the runs with a file on either tier."""
+        return sorted(
+            {k.split("/")[1] for tier in (self.h.ssd, self.h.shared) for k in tier.list("runs/")}
+        )
 
     # ------------------------------------------------------------ purge/load
     def purge_run(self, run_id: str) -> None:
-        """Drop data blocks from the SSD; keep the header (§6.2).
-
-        Only legal for persisted runs — purging a non-persisted run would
-        lose data.
-        """
-        with self._lock:
-            st = self._runs[run_id]
-            if not st.persisted:
-                raise ValueError(f"cannot purge non-persisted run {run_id}")
-            st.local = "none"
-        for i in range(st.n_blocks):
-            self.h.ssd.delete(_block_key(run_id, i))
+        """Drop the run's data blocks from the SSD; keep the header (§6.2).
+        Shared storage keeps them all."""
+        for key in _block_keys(self.h.ssd, run_id):
+            self.h.ssd.delete(key)
 
     def load_run(self, run_id: str) -> None:
-        """Prefetch all data blocks shared → SSD (reverse of purging)."""
-        with self._lock:
-            n_blocks = self._runs[run_id].n_blocks
-        for i in range(n_blocks):
-            key = _block_key(run_id, i)
-            if not self.h.ssd.exists(key):
+        """Copy the run's data blocks the SSD lacks from shared storage
+        (reverse of purging)."""
+        cached = set(_block_keys(self.h.ssd, run_id))
+        for key in _block_keys(self.h.shared, run_id):
+            if key not in cached:
                 try:
                     self.h.ssd.put(key, self.h.shared.get(key))
-                except FileExistsError:  # pragma: no cover
+                except FileExistsError:  # pragma: no cover - concurrent fetch race
                     pass
-        with self._lock:
-            self._runs[run_id].local = "ssd"
 
     def delete_run(self, run_id: str, *, from_shared: bool = True) -> None:
-        """GC a merged/evolved-away run from every tier it occupies."""
-        with self._lock:
-            st = self._runs.get(run_id)
-            if from_shared or not (st and st.persisted):
-                self._runs.pop(run_id, None)
-            else:  # kept on shared storage: a later delete there needs n_blocks
-                st.local = "none"
-        n_blocks = st.n_blocks if st else 0
-        for tier in (self.h.ssd,) + ((self.h.shared,) if from_shared else ()):
+        """GC a merged/evolved-away run from the SSD and, with
+        ``from_shared``, from shared storage: the header first, then
+        every other file of the run's directory."""
+        for tier in (self.h.ssd, self.h.shared) if from_shared else (self.h.ssd,):
             tier.delete(_header_key(run_id))
-            for i in range(n_blocks):
-                tier.delete(_block_key(run_id, i))
+            for key in tier.list(f"{_run_dir(run_id)}/"):
+                tier.delete(key)
             tier.delete_dir(_run_dir(run_id))
 
 

@@ -212,8 +212,10 @@ class DirTier:
         return os.path.exists(self._path(key))
 
     def list(self, prefix: str = "") -> list[str]:
+        """The keys starting with ``prefix``. Only the directory the
+        prefix names or ends in is walked (``"runs/r1"`` walks ``runs``)."""
         out = []
-        for dirpath, _dirs, files in os.walk(self.root):
+        for dirpath, _dirs, files in os.walk(self._path(prefix.rpartition("/")[0])):
             for fn in files:
                 if fn.endswith(".tmp"):
                     continue

@@ -20,3 +20,20 @@ def fail_write(monkeypatch):
         monkeypatch.setattr(os, "replace", replace)
 
     return arm
+
+
+@pytest.fixture
+def ssd_share():
+    """``ssd_share(hier, run_id)``: how many of the run's data blocks on
+    shared storage the SSD cache holds, read from the tiers' files —
+    ``"all"``, ``"some"`` or ``"none"``."""
+
+    def share(hier, run_id: str) -> str:
+        shared, ssd = (
+            {k for k in tier.list(f"runs/{run_id}/") if "/block." in k}
+            for tier in (hier.shared, hier.ssd)
+        )
+        assert shared and ssd <= shared
+        return "none" if not ssd else "all" if ssd == shared else "some"
+
+    return share

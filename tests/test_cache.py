@@ -1,5 +1,5 @@
 """Cache manager — paper §6.2 (purge/load, write-through, miss path) and
-§6.1 (non-persisted-run constraints)."""
+§6.1 (non-persisted runs stay off every tier)."""
 import copy
 import tracemalloc
 from functools import partial
@@ -7,6 +7,8 @@ from functools import partial
 import numpy as np
 import pytest
 
+from repro.core import query as q
+from repro.core.index import UmziConfig, UmziIndex
 from repro.core.recovery import list_headers, read_block
 from repro.core.run import GROOMED, IndexRun, IndexSpec
 from repro.storage import CacheManager, StorageHierarchy
@@ -31,32 +33,54 @@ def cm(tmp_path):
     return CacheManager(StorageHierarchy(str(tmp_path)))
 
 
-def test_write_persisted_ssd(cm):
+def test_write_persisted_ssd(cm, ssd_share):
     run = mkrun()
-    cm.write_run(run, persisted=True, cache_tier="ssd")
+    cm.write_run(run, to_ssd=True)
     assert cm.h.shared.exists(_header_key(run.run_id))
-    assert cm.h.ssd.exists(_block_key(run.run_id, 0))
-    st = cm.state(run.run_id)
-    assert st.persisted and st.local == "ssd"
+    assert cm.h.ssd.exists(_header_key(run.run_id))
+    assert ssd_share(cm.h, run.run_id) == "all"
+    assert cm.known_runs() == [run.run_id]
 
 
-def test_write_nonpersisted_mem_only(cm):
-    run = mkrun()
-    cm.write_run(run, persisted=False, cache_tier="mem")
-    # Resident in the run's own columns: no copy on any tier (§6.1).
-    assert cm.h.ssd.list() == [] and cm.h.shared.list() == []
-    assert all(n == 0 for n in cm.h.stats.snapshot()["writes"].values())
-    assert cm.state(run.run_id).local == "mem"
-
-
-def test_nonpersisted_must_be_cached(cm):
-    with pytest.raises(ValueError, match="must be cached"):
-        cm.write_run(mkrun(), persisted=False, cache_tier="none")
+def test_nonpersisted_run_stays_resident_on_no_tier(tmp_path):
+    """§6.1: a run merged into a non-persisted level is written to no
+    tier, is never purged, and answers from its own columns; its
+    persisted ancestors stay on shared storage."""
+    hier = StorageHierarchy(str(tmp_path))
+    cm = CacheManager(hier)
+    cfg = UmziConfig(K=2, T=2, groomed_max_level=3, pg_min_level=4, pg_max_level=6,
+                     nonpersisted_levels=frozenset({1}))
+    ix = UmziIndex(SPEC, cfg, cm)
+    for gb in range(3):  # the first two merge into L1
+        ix.add_groomed_run(mkrun(gb))
+        ix.maintain()
+    l1 = [h for h in ix.groomed.snapshot() if h.level == 1]
+    assert len(l1) == 1
+    run = l1[0].run
+    assert run.resident and run.ancestors
+    assert not hier.ssd.list(f"runs/{run.run_id}/")
+    assert not hier.shared.list(f"runs/{run.run_id}/")
+    assert run.run_id not in cm.known_runs()
+    assert set(run.ancestors) <= set(cm.known_runs())
+    ix.apply_cache_level(-1)
+    assert run.resident
+    want: dict = {}  # (k, s) -> newest begin_ts, from the inputs' raw columns
+    for gb in range(run.gbid_lo, run.gbid_hi + 1):
+        g = np.random.default_rng(gb)
+        k, s = g.integers(0, 10, 50), g.integers(0, 10, 50)
+        for key, ts in zip(zip(k.tolist(), s.tolist()), range(50)):
+            want[key] = max(want.get(key, -1), ts)
+    hier.stats.reset()
+    probes = np.array(sorted(want)).T
+    res = q.batch_lookup(ix, [probes[0]], [probes[1]], 2**62, runs=l1)
+    got = sorted(zip(res["k"].tolist(), res["s"].tolist(), res["begin_ts"].tolist()))
+    assert got == sorted((k, s, ts) for (k, s), ts in want.items())
+    assert all(n == 0 for n in hier.stats.snapshot()["reads"].values())
 
 
 def test_read_block_tier_preference(cm):
     run = mkrun()
-    cm.write_run(run, persisted=True, cache_tier="ssd")
+    cm.write_run(run, to_ssd=True)
     cm.h.stats.reset()
     cm.read_block(run.run_id, 0)
     snap = cm.h.stats.snapshot()
@@ -67,7 +91,7 @@ def test_read_block_miss_fetches_and_caches(cm):
     """§7: purged-run access transfers the block shared → SSD and leaves
     it cached for future accesses."""
     run = mkrun()
-    cm.write_run(run, persisted=True, cache_tier="none")
+    cm.write_run(run, to_ssd=False)
     cm.h.stats.reset()
     cm.read_block(run.run_id, 0)
     snap = cm.h.stats.snapshot()
@@ -79,37 +103,33 @@ def test_read_block_miss_fetches_and_caches(cm):
     assert snap["reads"]["shared"] == 0 and snap["reads"]["ssd"] == 1
 
 
-def test_purge_keeps_header_drops_blocks(cm):
+def test_purge_keeps_header_drops_blocks(cm, ssd_share):
     run = mkrun()
-    cm.write_run(run, persisted=True, cache_tier="ssd")
+    cm.write_run(run, to_ssd=True)
     cm.purge_run(run.run_id)
     assert cm.h.ssd.exists(_header_key(run.run_id))  # header kept (§6.2)
-    assert not cm.h.ssd.exists(_block_key(run.run_id, 0))
-    assert cm.state(run.run_id).local == "none"
+    assert ssd_share(cm.h, run.run_id) == "none"
     # data still on shared storage
     assert cm.h.shared.exists(_block_key(run.run_id, 0))
+    cm.purge_run(run.run_id)  # a second purge finds nothing to drop
+    assert ssd_share(cm.h, run.run_id) == "none"
 
 
-def test_purge_nonpersisted_rejected(cm):
+def test_load_restores_all_blocks(cm, ssd_share):
     run = mkrun()
-    cm.write_run(run, persisted=False, cache_tier="mem")
-    with pytest.raises(ValueError, match="non-persisted"):
-        cm.purge_run(run.run_id)
-
-
-def test_load_restores_all_blocks(cm):
-    run = mkrun()
-    cm.write_run(run, persisted=True, cache_tier="ssd")
+    cm.write_run(run, to_ssd=True)
     cm.purge_run(run.run_id)
+    cm.read_block(run.run_id, 2)  # a query re-fetched one block
+    assert ssd_share(cm.h, run.run_id) == "some"
     cm.load_run(run.run_id)
     for i in range(run.n_blocks):
         assert cm.h.ssd.exists(_block_key(run.run_id, i))
-    assert cm.state(run.run_id).local == "ssd"
+    assert ssd_share(cm.h, run.run_id) == "all"
 
 
 def test_delete_run_everywhere(cm):
     run = mkrun()
-    cm.write_run(run, persisted=True, cache_tier="ssd")
+    cm.write_run(run, to_ssd=True)
     cm.delete_run(run.run_id)
     assert not cm.h.shared.exists(_header_key(run.run_id))
     assert not cm.h.ssd.exists(_block_key(run.run_id, 0))
@@ -120,7 +140,7 @@ def test_delete_run_keep_shared(cm):
     """§6.1: GC of a run merged into a non-persisted level removes local
     copies only — shared storage keeps the ancestor."""
     run = mkrun()
-    cm.write_run(run, persisted=True, cache_tier="ssd")
+    cm.write_run(run, to_ssd=True)
     cm.delete_run(run.run_id, from_shared=False)
     assert cm.h.shared.exists(_header_key(run.run_id))
     assert not cm.h.ssd.exists(_block_key(run.run_id, 0))
@@ -128,15 +148,15 @@ def test_delete_run_keep_shared(cm):
 
 def test_list_shared_headers(cm):
     r1, r2 = mkrun(0), mkrun(1)
-    cm.write_run(r1, persisted=True, cache_tier="ssd")
-    cm.write_run(r2, persisted=True, cache_tier="none")
+    cm.write_run(r1, to_ssd=True)
+    cm.write_run(r2, to_ssd=False)
     hdrs = list_headers(cm.h.shared)
     assert {h["run_id"] for h in hdrs} == {r1.run_id, r2.run_id}
 
 
 def test_read_shared_run_roundtrip(cm):
     run = mkrun()
-    cm.write_run(run, persisted=True, cache_tier="none")
+    cm.write_run(run, to_ssd=False)
     hdr = list_headers(cm.h.shared)[0]
     key, cols = IndexRun.read_entries([IndexRun.from_header(hdr)], partial(read_block, cm.h.shared))
     assert (key == run.key).all()
@@ -148,7 +168,7 @@ def test_read_shared_run_roundtrip(cm):
 def test_block_source_slice_spans_blocks(cm, a, b):
     """A contiguous take() across block boundaries."""
     run = mkrun(n=50)
-    cm.write_run(run, persisted=True, cache_tier="ssd")
+    cm.write_run(run, to_ssd=True)
     src = BlockSource(cm.read_block, run)
     got = src.take(("h", "t"), np.arange(a, b))
     assert (got["h"] == run.cols["h"][a:b]).all()
@@ -158,7 +178,7 @@ def test_block_source_slice_spans_blocks(cm, a, b):
 def test_block_source_value_at(cm):
     """Single-entry take()s, each value as stored."""
     run = mkrun(n=50)
-    cm.write_run(run, persisted=True, cache_tier="ssd")
+    cm.write_run(run, to_ssd=True)
     src = BlockSource(cm.read_block, run)
     for i in (0, 7, 8, 9, 49):
         assert int(src.take(("t",), np.asarray([i]))["t"][0]) == int(run.cols["t"][i])
@@ -166,7 +186,7 @@ def test_block_source_value_at(cm):
 
 def test_block_source_caches_blocks_per_query(cm):
     run = mkrun(n=50)
-    cm.write_run(run, persisted=True, cache_tier="ssd")
+    cm.write_run(run, to_ssd=True)
     src = BlockSource(cm.read_block, run)
     cm.h.stats.reset()
     src.take(("h",), np.asarray([0]))
@@ -184,7 +204,7 @@ def test_read_block_survives_purge_mid_read(cm, monkeypatch):
     """A purge that lands between finding a block on SSD and reading it
     falls through to shared storage, which re-caches the block (§7)."""
     run = mkrun()
-    cm.write_run(run, persisted=True, cache_tier="ssd")
+    cm.write_run(run, to_ssd=True)
     key = _block_key(run.run_id, 0)
     ssd_get = cm.h.ssd.get
 
@@ -202,7 +222,7 @@ def test_block_source_reads_each_block_once_per_source(cm):
     read from its tier once per source, into arrays of the run's length
     whose values are the run's."""
     run = mkrun(n=50)  # 7 blocks of 8 rows, the last holding 2
-    cm.write_run(run, persisted=True, cache_tier="ssd")
+    cm.write_run(run, to_ssd=True)
     src = BlockSource(cm.read_block, run)
     assert len(src.key) == run.n_entries
     assert all(len(src.cols[f]) == run.n_entries for f in SPEC.fields)
@@ -237,7 +257,7 @@ def test_block_source_buffer_is_allocated_once(cm):
         begin_ts=np.arange(n), rid_zone=np.zeros(n), rid_block=np.zeros(n),
         rid_off=np.arange(n), includes={"v": g.integers(0, 1 << 40, n)},
     )
-    cm.write_run(run, persisted=True, cache_tier="ssd")
+    cm.write_run(run, to_ssd=True)
     block_bytes = sum(len(run.block_bytes(i)) for i in range(run.n_blocks))
     firsts = np.arange(run.n_blocks) * spec.block_rows
     tracemalloc.start()
@@ -263,7 +283,7 @@ def test_merge_of_header_only_runs_equals_merge_of_resident_copies(cm):
     # runs (the same gbid twice), which the merge collapses.
     runs = [mkrun(0, n=50), mkrun(1, n=16), mkrun(0, n=50), mkrun(2, n=0), mkrun(3, n=23)]
     for r in runs:
-        cm.write_run(r, persisted=True, cache_tier="ssd")
+        cm.write_run(r, to_ssd=True)
     purged = runs[1::2]
     for r in purged:
         cm.purge_run(r.run_id)

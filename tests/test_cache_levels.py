@@ -33,31 +33,31 @@ def populated(tmp_path):
     return hier, cm, ix
 
 
-def _local_states(cm, ix):
+def _shares(hier, ix, ssd_share):
     return {
-        h.run.run_id: cm.state(h.run.run_id).local
+        h.run.run_id: ssd_share(hier, h.run.run_id)
         for h in ix.groomed.snapshot() + ix.postgroomed.snapshot()
     }
 
 
-def test_apply_cache_level_purges_high_levels(populated):
+def test_apply_cache_level_purges_high_levels(populated, ssd_share):
     hier, cm, ix = populated
     levels = {h.run.run_id: h.level for h in ix.groomed.snapshot()}
     assert len(set(levels.values())) > 1  # multiple levels exist
     cutoff = min(levels.values())
     ix.apply_cache_level(cutoff)
-    for run_id, local in _local_states(cm, ix).items():
+    for run_id, share in _shares(hier, ix, ssd_share).items():
         if levels[run_id] > cutoff:
-            assert local == "none", run_id
+            assert share == "none", run_id
         else:
-            assert local != "none", run_id
+            assert share == "all", run_id
 
 
-def test_apply_cache_level_reloads(populated):
+def test_apply_cache_level_reloads(populated, ssd_share):
     hier, cm, ix = populated
     ix.apply_cache_level(0)
     ix.apply_cache_level(CFG.pg_max_level)
-    assert all(v != "none" for v in _local_states(cm, ix).values())
+    assert all(v == "all" for v in _shares(hier, ix, ssd_share).values())
 
 
 def test_purged_queries_still_correct_but_cost_more(populated):
@@ -74,7 +74,7 @@ def test_purged_queries_still_correct_but_cost_more(populated):
     assert purged_cost > cached_cost * 5  # shared-storage latency dominates
 
 
-def test_partly_refetched_run_is_loaded_again(tmp_path):
+def test_partly_refetched_run_is_loaded_again(tmp_path, ssd_share):
     """A query that fetches a few blocks of a purged run from shared
     storage leaves the run partly cached; raising the cached level then
     loads the rest, so no later query pays a shared read (§6.2)."""
@@ -88,26 +88,26 @@ def test_partly_refetched_run_is_loaded_again(tmp_path):
     q.point_lookup(ix, (3,), (5,), 2**62)
     fetched = hier.stats.snapshot()["reads"]["shared"]
     assert 0 < fetched < run.n_blocks
-    assert cm.state(run.run_id).local == "partial"
+    assert ssd_share(hier, run.run_id) == "some"
     ix.apply_cache_level(CFG.pg_max_level)
-    assert cm.state(run.run_id).local == "ssd"
+    assert ssd_share(hier, run.run_id) == "all"
     hier.stats.reset()
     for k in range(20):
         q.range_scan(ix, (k,), None, None, 2**62)
     assert hier.stats.snapshot()["reads"]["shared"] == 0
 
 
-def test_write_through_respects_cache_level(populated, tmp_path):
+def test_write_through_respects_cache_level(populated, ssd_share):
     hier, cm, ix = populated
     ix.apply_cache_level(-1)
     ix.add_groomed_run(mkrun(100))
     # new level-0 run is above the cache level -> no local copy (§6.2)
     new = ix.groomed.snapshot()[0]
-    assert cm.state(new.run.run_id).local == "none"
+    assert ssd_share(hier, new.run.run_id) == "none"
     ix.apply_cache_level(CFG.pg_max_level)
     ix.add_groomed_run(mkrun(101))
     new = ix.groomed.snapshot()[0]
-    assert cm.state(new.run.run_id).local == "ssd"  # write-through
+    assert ssd_share(hier, new.run.run_id) == "all"  # write-through
 
 
 def test_auto_adjust_purges_until_under_capacity(populated):
@@ -119,7 +119,7 @@ def test_auto_adjust_purges_until_under_capacity(populated):
     assert ix.cache_level < CFG.pg_max_level
 
 
-def test_auto_adjust_reloads_when_spacious(populated):
+def test_auto_adjust_reloads_when_spacious(populated, ssd_share):
     hier, cm, ix = populated
     ix.apply_cache_level(-1)
     small = hier.ssd.used_bytes()
@@ -128,9 +128,7 @@ def test_auto_adjust_reloads_when_spacious(populated):
     # reloaded at least up to the highest level that actually holds runs
     max_run_level = max(h.level for h in ix.groomed.snapshot())
     assert ix.cache_level >= max_run_level
-    assert all(
-        cm.state(h.run.run_id).local != "none" for h in ix.groomed.snapshot()
-    )
+    assert all(ssd_share(hier, h.run.run_id) == "all" for h in ix.groomed.snapshot())
 
 
 def test_cache_ops_require_hierarchy():

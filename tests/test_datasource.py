@@ -297,7 +297,7 @@ def test_scan_drops_runs_contained_in_a_merged_run(tmp_path):
     cm = CacheManager(hier)
     dfs = [entries(gb) for gb in range(3)]
     for gb, df in enumerate(dfs):
-        cm.write_run(groomed_run(df, gb), persisted=True, cache_tier="none")
+        cm.write_run(groomed_run(df, gb), to_ssd=False)
     df = pd.concat(dfs, ignore_index=True)
     n = len(df)
     merged = IndexRun.build(
@@ -306,7 +306,7 @@ def test_scan_drops_runs_contained_in_a_merged_run(tmp_path):
         rid_zone=np.zeros(n), rid_block=np.zeros(n), rid_off=np.arange(n),
         includes={"v": df.v.values},
     )
-    cm.write_run(merged, persisted=True, cache_tier="none")
+    cm.write_run(merged, to_ssd=False)
     parts, rows = scan_rows(reader_for(hier))
     assert [p.header["run_id"] for p in parts] == [merged.run_id]
     assert rows == versions(df)

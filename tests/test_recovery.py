@@ -110,7 +110,7 @@ def test_recover_drops_already_merged_overlapping_runs(tmp_path):
     # simulate the crash window: re-persist two covered single-gbid runs
     for gb in (0, 1):
         r = groomed_run(entries(gb), gb)
-        cm.write_run(r, persisted=True, cache_tier="none")
+        cm.write_run(r, to_ssd=False)
     hier.crash_node()
     ix2 = recover(SPEC, CFG, CacheManager(hier))
     his = [h.gbid_hi for h in ix2.groomed.snapshot()]
@@ -129,7 +129,7 @@ def test_recover_deletes_every_file_of_dropped_runs(tmp_path):
     hier, cm, ix, df = make_populated(tmp_path, evolve_upto=None, n_groomed=4)
     dropped = [groomed_run(entries(gb), gb) for gb in (0, 1)]
     for r in dropped:
-        cm.write_run(r, persisted=True, cache_tier="none")
+        cm.write_run(r, to_ssd=False)
     hier.shared.delete(_block_key(dropped[1].run_id, 0))  # and one incomplete
     hier.crash_node()
     recover(SPEC, CFG, CacheManager(hier))
@@ -147,13 +147,12 @@ def test_recover_cleans_incomplete_runs(tmp_path):
     assert victim.run_id not in {h.run.run_id for h in ix2.groomed.snapshot()}
 
 
-def test_recovered_runs_start_purged_and_reload_on_demand(tmp_path):
+def test_recovered_runs_start_purged_and_reload_on_demand(tmp_path, ssd_share):
     hier, cm, ix, df = make_populated(tmp_path)
     hier.crash_node()
-    cm2 = CacheManager(hier)
-    ix2 = recover(SPEC, CFG, cm2)
+    ix2 = recover(SPEC, CFG, CacheManager(hier))
     for h in ix2.groomed.snapshot() + ix2.postgroomed.snapshot():
-        assert cm2.state(h.run.run_id).local == "none"
+        assert ssd_share(hier, h.run.run_id) == "none"
     hier.stats.reset()
     assert_queries_match(ix2, df)
     assert hier.stats.snapshot()["reads"]["shared"] > 0
@@ -177,7 +176,7 @@ def test_nonpersisted_levels_recovery_from_ancestors(tmp_path):
         dfs.append(df)
     df = pd.concat(dfs, ignore_index=True)
     l1 = [h for h in ix.groomed.snapshot() if h.level == 1]
-    assert l1 and not cm.state(l1[0].run.run_id).persisted
+    assert l1 and l1[0].run.resident and not hier.shared.list(f"runs/{l1[0].run.run_id}/")
     assert l1[0].run.ancestors  # persisted ancestry recorded
     # Before the crash the L1 run answers from its own columns: no tier read.
     run = l1[0].run

@@ -193,7 +193,7 @@ def test_block_source_equals_memory_source(block_rows, tmp_path):
 
     spec, run = paper_fig2_run(block_rows=block_rows)
     cm = CacheManager(StorageHierarchy(str(tmp_path)))
-    cm.write_run(run, persisted=True, cache_tier="none")
+    cm.write_run(run, to_ssd=False)
     src = BlockSource(cm.read_block, run)
     for dev in (1, 3, 4, 5, 8, 9):
         for qts in (94, 100, 105):
@@ -271,7 +271,7 @@ def test_search_sorted_matches_linear_scan(seed, tmp_path):
             rid_zone=np.zeros(n), rid_block=np.zeros(n), rid_off=np.arange(n),
         )
         cm = CacheManager(StorageHierarchy(str(tmp_path / f"h{int(hashed)}")))
-        cm.write_run(run, persisted=True, cache_tier="ssd")
+        cm.write_run(run, to_ssd=True)
         table = enc.key_columns(run.key).astype(np.uint64)
         rows = [tuple(r) for r in table.tolist()]
         for m in (1, 3, 200):

@@ -56,6 +56,27 @@ def test_list_with_prefix(hier):
     assert len(hier.shared.list()) == 3
 
 
+def test_list_walks_only_the_prefix_directory(hier, monkeypatch):
+    """A listing equals the full walk filtered by the prefix, but walks
+    only the directory the prefix names or ends in."""
+    tier = hier.shared
+    for key in ("runs/r1/header", "runs/r1/block.00000", "runs/r10/header",
+                "runs/r2/header", "tables/t/block", "top"):
+        tier.put(key, b"x")
+    full = tier.list()
+    walked = []
+    walk = os.walk
+    monkeypatch.setattr(os, "walk", lambda top: walked.append(top) or walk(top))
+    for prefix, top in (("", ""), ("runs/", "runs"), ("runs/r1/", "runs/r1"), ("runs/r1", "runs")):
+        walked.clear()
+        assert tier.list(prefix) == [k for k in full if k.startswith(prefix)]
+        assert walked == [os.path.normpath(os.path.join(tier.root, top))]
+    assert tier.list("runs/r1") == ["runs/r1/block.00000", "runs/r1/header", "runs/r10/header"]
+    assert tier.list("runs/nope/") == [] and tier.list("nope/x") == []
+    with pytest.raises(ValueError):
+        tier.list("../x")
+
+
 def test_delete_missing_is_noop(hier):
     hier.shared.delete("nope")  # must not raise
     hier.ssd.delete("nope")

@@ -279,9 +279,13 @@ class TestPostGroomAndEvolve:
         hier, ix, *_ = self._run_cycles(stack)
         assert ix.pg_covered_gbid == 5  # evolve GC ran
         assert max(ix.describe()["levels"]) > 0  # merges ran
-        known = set(ix.cache.known_runs())
+        # The runs the index holds, and the persisted ancestors a
+        # non-persisted run still needs (§6.1): no tier may hold another.
+        runs = [h.run for h in ix.groomed.snapshot() + ix.postgroomed.snapshot()]
+        live = {r.run_id for r in runs} | {a for r in runs if r.resident for a in r.ancestors}
         for tier in (hier.ssd, hier.shared):
-            assert set(os.listdir(os.path.join(tier.root, "runs"))) <= known
+            assert set(os.listdir(os.path.join(tier.root, "runs"))) <= live
+        assert all(hier.shared.exists(f"runs/{r.run_id}/header") for r in runs)
 
     def test_post_groom_nothing_pending(self, stack):
         hier, ix, shard, groomer, pg, indexer = stack
