@@ -22,9 +22,9 @@ from typing import Callable
 import numpy as np
 
 from repro.core.merge import MergeEvent, MergePolicy
-from repro.core.run import GROOMED, POSTGROOMED, IndexRun, IndexSpec, MemorySource
+from repro.core.run import GROOMED, POSTGROOMED, IndexRun, IndexSpec
 from repro.core.runlist import RunHandle, ZoneList
-from repro.storage.cache import BlockSource, CacheManager
+from repro.storage.cache import CacheManager
 
 _STATE_KEY = "index/state.json"
 
@@ -185,13 +185,12 @@ class UmziIndex:
 
     def _delete_replaced(self, run: IndexRun) -> None:
         """GC a run whose entries now live in a persisted run: the run
-        itself (from shared storage too unless its level is non-persisted),
-        then its ancestors (§6.1: once re-persisted, the old persisted
-        ancestors of a non-persisted run can finally be deleted)."""
-        nonp = run.level in self.config.nonpersisted_levels
-        self.cache.delete_run(run.run_id, from_shared=not nonp)
+        itself (a non-persisted one has no file to delete), then its
+        ancestors (§6.1: once re-persisted, the old persisted ancestors of
+        a non-persisted run can finally be deleted)."""
+        self.cache.delete_run(run.run_id)
         for a in run.ancestors:
-            self.cache.delete_run(a, from_shared=True)
+            self.cache.delete_run(a)
 
     # ------------------------------------------------------------------ evolve
     def evolve(self, pg_run: IndexRun, psn: int | None = None) -> None:
@@ -296,7 +295,7 @@ class UmziIndex:
         SSD read; else the blocks themselves, read through the cache with
         real tier charges (§7). A GC'd run's blocks outlive every
         snapshot that holds it."""
-        return MemorySource(run) if run.resident else BlockSource(self.cache.read_block, run)
+        return run.source(None if self.cache is None else self.cache.read_block)
 
     # ------------------------------------------------------- cache management
     def apply_cache_level(self, level: int) -> None:

@@ -20,7 +20,11 @@ A plan:
 
 A listed run whose header is gone when checked was removed by a GC after
 the listing; the plan then starts over rather than leave the run out,
-since the run that replaced it may be missing from the listing.
+since the run that replaced it may be missing from the listing. A GC
+deletes a run's data blocks before its header, so a run it is deleting
+looks incomplete, and its replacement was complete before that: a plan
+that drops an incomplete run starts over too if a header appeared since
+the listing or a run it found incomplete is complete now.
 
 :func:`recover` deletes the drops, rebuilds both chains from the kept
 runs' headers — header-only runs, whose blocks queries fetch on demand, so
@@ -64,9 +68,13 @@ def read_state(tier) -> dict:
         return {"pg_covered_gbid": -1, "indexed_psn": 0}
 
 
+def _header_keys(tier) -> list[str]:
+    return [k for k in tier.list("runs/") if k.endswith("/header")]
+
+
 def list_headers(tier) -> list[dict]:
     """Every run header on ``tier``."""
-    return [json.loads(tier.get(k)) for k in tier.list("runs/") if k.endswith("/header")]
+    return [json.loads(tier.get(k)) for k in _header_keys(tier)]
 
 
 def read_block(tier, run_id: str, i: int) -> bytes:
@@ -86,9 +94,18 @@ def _complete(tier, header: dict) -> bool:
 
 def _plan_once(tier) -> RunPlan:
     state = read_state(tier)  # §5.4: before the run lists
+    headers = list_headers(tier)
     complete, drop = [], []
-    for h in list_headers(tier):
+    for h in headers:
         (complete if _complete(tier, h) else drop).append(h)
+    # An incomplete run may be one a GC is deleting, whose replacement
+    # was complete before the GC began but missed by the listing or caught
+    # mid-write: plan again if a run appeared or completed since.
+    if drop and (
+        set(_header_keys(tier)) - {_header_key(h["run_id"]) for h in headers}
+        or any(_complete(tier, h) for h in drop)
+    ):
+        raise FileNotFoundError("runs written or GC'd during the plan")
     keep: dict = {GROOMED: [], POSTGROOMED: []}
     for h in sorted(complete, key=lambda h: (-h["gbid_hi"], h["gbid_lo"])):
         kept = keep[h["zone"]]

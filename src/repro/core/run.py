@@ -230,6 +230,11 @@ class EntrySource:
             self._load(fresh)
         return blocks
 
+    def load_all(self) -> None:
+        """Load every block not loaded yet: a merge input or an
+        unfiltered scan reads the whole run, each block once."""
+        self.touch(np.arange(0, self.n_entries, self.spec.block_rows))
+
     def take(self, fields, positions: np.ndarray) -> dict[str, np.ndarray]:
         """``fields`` of the entries at ``positions`` (int64 array)."""
         self.touch(positions)
@@ -265,16 +270,13 @@ class MemorySource(EntrySource):
     """Entries fully resident in the run's key and columns; a block's
     first touch charges one modelled SSD read of the bytes the stored
     block holds to the ambient ``capture_io`` scope, as a
-    :class:`~repro.storage.cache.BlockSource` read of it from the SSD
-    would.
+    :class:`BlockSource` read of it from the SSD would.
 
     Only a run resident by configuration has them: one of an index with no
     storage hierarchy (the §8.3 microbenchmarks), or one at a non-persisted
     level (§6.1)."""
 
     def __init__(self, run: "IndexRun"):
-        if not run.resident:
-            raise ValueError(f"run {run.run_id} is header-only: read it through its cache")
         super().__init__(run.spec, run.n_entries, run.key, run.cols)
 
     def search_blocks(self, needles, a, b, right):
@@ -293,6 +295,65 @@ class MemorySource(EntrySource):
         spec = self.spec
         rows = np.minimum(spec.block_rows, self.n_entries - blocks * spec.block_rows)
         capture_reads("ssd", len(blocks), int(rows.sum()) * 8 * len(spec.fields), SSD_LATENCY)
+
+
+class BlockSource(EntrySource):
+    """Entries of a header-only run, read from its data blocks.
+
+    Its ``key`` and ``cols`` are arrays of the run's length allocated
+    once with ``np.empty``, as a resident run's are: the memcmp keys, the
+    order fields as views of them (as in :class:`IndexRun`), and one
+    uint64 array per other field. Each touched block is read once with
+    ``read_block(run_id, i) -> bytes``
+    (:meth:`~repro.storage.cache.CacheManager.read_block`, or a
+    shared-storage read where no cache is held, as in the Spark ``umzi``
+    reader), decoded, and copied into that block's rows; the tier read
+    charges the query for the block's bytes. A gather is then the same
+    position index as over a resident run. Pages no block is copied into
+    are never written, so the OS need not back them: a query's memory
+    grows with the blocks it touches, not with the run. The arrays live
+    only as long as this source (one query or one merge), matching §7:
+    "after the query is finished, the cached data blocks are released".
+    """
+
+    def __init__(self, read_block, run: "IndexRun"):
+        spec, n = run.spec, run.n_entries
+        key = np.empty(n, f"S{8 * len(spec.order_fields)}")
+        cols = dict(zip(spec.order_fields, enc.key_columns(key).T))
+        super().__init__(spec, n, key, cols | {f: np.empty(n, np.uint64) for f in spec.rest_fields})
+        self.read_block = read_block
+        self.run_id = run.run_id
+
+    def search_blocks(self, needles, a, b, right):
+        # Loaded blocks sit in key order in ``key``: one search per group
+        # of ranges over the same blocks, searched on one side.
+        br = self.spec.block_rows
+        live = np.flatnonzero(a < b)
+        first, last, side = self.touch(a[live]), (b[live] - 1) // br, right[live]
+        order = np.lexsort((side, last, first))
+        live, first, last, side = live[order], first[order], last[order], side[order]
+        new = np.flatnonzero(
+            np.diff(first, prepend=-1) | np.diff(last, prepend=-1) | np.diff(side, prepend=-1)
+        )
+        out = a.copy()
+        for x, y, r, sel in zip(
+            first[new].tolist(), last[new].tolist(), side[new].tolist(), np.split(live, new[1:])
+        ):
+            lo, hi = x * br, min((y + 1) * br, self.n_entries)
+            out[sel] = np.searchsorted(self.key[lo:hi], needles[sel], "right" if r else "left") + lo
+        return np.clip(out, a, b)
+
+    def _load(self, blocks: np.ndarray) -> None:
+        br = self.spec.block_rows
+        for bi in blocks.tolist():
+            lo = bi * br
+            rows = min(br, self.n_entries - lo)
+            key, rest = IndexRun.decode_block(
+                self.spec, self.read_block(self.run_id, bi), rows
+            )
+            self.key[lo : lo + rows] = key
+            for f, c in zip(self.spec.rest_fields, rest):
+                self.cols[f][lo : lo + rows] = c
 
 
 _U64_MAX = (1 << 64) - 1
@@ -419,6 +480,17 @@ class IndexRun:
         through the cache from now on."""
         self.key = self.cols = None
 
+    def source(self, read_block=None) -> EntrySource:
+        """The entry source for one read of this run (a query's, or a
+        merge's): its own arrays while it is resident, else its data
+        blocks, each read on first touch with ``read_block(run_id, i) ->
+        bytes``, which a header-only run requires."""
+        if self.resident:
+            return MemorySource(self)
+        if read_block is None:
+            raise ValueError(f"run {self.run_id} is header-only: read it through its cache")
+        return BlockSource(read_block, self)
+
     # ------------------------------------------------------------------ build
     @classmethod
     def build(
@@ -498,38 +570,6 @@ class IndexRun:
         )
 
     # ------------------------------------------------------------ merge build
-    @staticmethod
-    def read_entries(
-        runs: list["IndexRun"], read_block=None
-    ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        """The entries of ``runs`` (of one spec), one run after another:
-        their memcmp keys, and their other fields as uint64 columns.
-
-        A resident run's arrays are copied; a header-only run is read one
-        data block at a time with ``read_block(run_id, i) -> bytes`` and
-        decoded straight into place, as an LSM compaction iterator reads
-        its inputs (LevelDB, RocksDB).
-        """
-        spec = runs[0].spec
-        n, br = sum(r.n_entries for r in runs), spec.block_rows
-        key = np.empty(n, f"S{8 * len(spec.order_fields)}")
-        cols = {f: np.empty(n, np.uint64) for f in spec.rest_fields}
-        at = 0
-        for r in runs:
-            if r.resident:
-                parts = [(r.key, [r.cols[f] for f in spec.rest_fields])]
-            else:
-                parts = (
-                    IndexRun.decode_block(spec, read_block(r.run_id, i), min(br, r.n_entries - i * br))
-                    for i in range(-(-r.n_entries // br))
-                )
-            for k, rest in parts:
-                key[at : at + len(k)] = k
-                for f, c in zip(spec.rest_fields, rest):
-                    cols[f][at : at + len(k)] = c
-                at += len(k)
-        return key, cols
-
     @classmethod
     def merge_runs(
         cls,
@@ -544,8 +584,10 @@ class IndexRun:
         groomed/post-groomed duplicate elimination happens at query time
         (§5.4), never inside a zone merge. Only *identical* entries
         (same key, beginTS and RID — possible when an evolve raced a
-        merge) collapse. Header-only inputs are read once per data block
-        with ``read_block`` (:meth:`read_entries`).
+        merge) collapse. Each input is read whole through its
+        :meth:`source`, so a header-only one is read once per data block
+        with ``read_block``, as an LSM compaction reads its inputs through
+        the iterators a lookup uses (LevelDB, RocksDB).
         """
         if not runs:
             raise ValueError("nothing to merge")
@@ -553,7 +595,12 @@ class IndexRun:
         zone = runs[0].zone
         if any(r.zone != zone for r in runs):
             raise ValueError("Umzi only merges runs within the same zone (§4.3)")
-        key, cols = cls.read_entries(runs, read_block)
+        srcs = [r.source(read_block) for r in runs]
+        for src in srcs:
+            src.load_all()
+        key = np.concatenate([s.key for s in srcs])
+        cols = {f: np.concatenate([s.cols[f] for s in srcs]) for f in spec.rest_fields}
+        del srcs, src  # before the sort, which needs their memory
         # The inputs are each sorted, which a stable argsort of one key
         # exploits. Identical entries end up adjacent, with equal keys and
         # RIDs. (np.take gathers ``S`` items more than twice as fast as
@@ -638,13 +685,16 @@ class IndexRun:
 
         ``eq_values`` must bind *all* equality columns (or None iff the
         index has none). ``sort_lo``/``sort_hi`` are inclusive bounds on
-        the sort-column tuple (None = unbounded). Entries with
-        ``beginTS > query_ts`` are invisible.
+        each sort column on its own, a box rather than a range of the
+        sort-column tuple: the first column's bounds narrow the searched
+        range, and each later column with a bound filters it. A tuple
+        shorter than the sort columns, or None, leaves the rest
+        unbounded. Entries with ``beginTS > query_ts`` are invisible.
         """
         spec = self.spec
         if spec.eq_cols and (eq_values is None or len(eq_values) != len(spec.eq_cols)):
             raise ValueError("all equality columns must be specified (§7)")
-        src = source or MemorySource(self)
+        src = source or self.source()
 
         # The range of (hash, eq cols…, first sort col) between its bounds:
         # the first entry not below the lower bound padded with zeros, and
@@ -673,7 +723,7 @@ class IndexRun:
 
         # Timestamp predicate: beginTS <= queryTS ⇔ inverted-ts >= inv(qts).
         keep = sub["t"] >= np.uint64(_U64_MAX ^ enc.ordered_scalar(query_ts))
-        # Remaining sort columns (beyond s0) get an exact tuple filter.
+        # Each sort column after s0 is bounded on its own (a box).
         if len(spec.sort_cols) > 1 and (sort_lo is not None or sort_hi is not None):
             for i in range(1, len(spec.sort_cols)):
                 col = enc.from_ordered_u64(sub[f"s{i}"])

@@ -14,9 +14,10 @@ The reader's life cycle (driver side):
    the pushed filters, and emits one input partition per surviving run.
    It never deletes anything;
 3. ``read`` (executor side) reads that run from its header and shared
-   storage through one ``BlockSource``: a search that reads only the
-   blocks it touches if every equality column is pushed, else every block
-   once, decoded from the source's arrays in place. It yields Arrow record
+   storage through the run's one source (``IndexRun.source``): a search
+   that reads only the blocks it touches if every equality column is
+   pushed, else every block once, as a merge reads its inputs, decoded
+   from the source's arrays in place. It yields Arrow record
    batches of decoded index entries tagged with ``_run_rank`` (recency
    rank) for reconciliation in ``scan.unified_view``.
 """
@@ -42,7 +43,6 @@ from pyspark.sql.types import LongType, StructField, StructType
 
 from repro.core.recovery import plan_runs, read_block
 from repro.core.run import GROOMED, POSTGROOMED, IndexRun, IndexSpec, synopsis_overlaps
-from repro.storage.cache import BlockSource
 from repro.storage.tiers import SHARED_LATENCY, DirTier, IOStats
 
 
@@ -144,7 +144,7 @@ class UmziReader(DataSourceReader):
     # ------------------------------------------------------------------ read
     def read(self, partition: _RunPartition):
         run = IndexRun.from_header(partition.header)
-        src = BlockSource(partial(read_block, _shared(self.root)), run)
+        src = run.source(partial(read_block, _shared(self.root)))
         spec = run.spec
         if spec.eq_cols and all(c in partition.eq_values for c in spec.eq_cols):
             # All equality columns pushed: offset-array + binary search
@@ -153,8 +153,8 @@ class UmziReader(DataSourceReader):
             eq_vals = tuple(int(partition.eq_values[c]) for c in spec.eq_cols)
             res = run.search(eq_vals, None, None, self.query_ts, source=src)
         else:
-            # Touch every block once, then decode the arrays in place.
-            src.touch(np.arange(0, run.n_entries, spec.block_rows))
+            # Load every block once, then decode the arrays in place.
+            src.load_all()
             res = run._decode(src.cols)
         n = len(res["begin_ts"])
         if n == 0:

@@ -16,9 +16,10 @@ Responsibilities, mapped to the paper:
   (``IndexRun.drop_entries``), so a purged run is purged from memory as
   well as from the SSD.
 * **Miss path** (§7): a query touching a purged run transfers data blocks
-  shared → SSD one block at a time, leaving them cached; its decoded
-  blocks live in the query's :class:`BlockSource` and are dropped with it.
-  A merge reads its inputs the same way but caches nothing
+  shared → SSD one block at a time through :meth:`CacheManager.read_block`,
+  leaving them cached; its decoded blocks live in the query's
+  :class:`~repro.core.run.BlockSource` and are dropped with it. A merge
+  reads its inputs through the same source but caches nothing
   (``read_block(fill=False)``): they are GC'd right after.
 
 The manager keeps no state. What the tiers hold under ``runs/<run_id>/``
@@ -29,10 +30,7 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
-
-from repro.core import encoding as enc
-from repro.core.run import EntrySource, IndexRun
+from repro.core.run import IndexRun
 from repro.storage.tiers import StorageHierarchy
 
 
@@ -124,68 +122,13 @@ class CacheManager:
 
     def delete_run(self, run_id: str, *, from_shared: bool = True) -> None:
         """GC a merged/evolved-away run from the SSD and, with
-        ``from_shared``, from shared storage: the header first, then
-        every other file of the run's directory."""
+        ``from_shared``, from shared storage: on each tier its data blocks
+        first, then its header. A crash in between leaves an incomplete
+        run, which ``recover`` drops and deletes; a header deleted first
+        would leave blocks that no header lists."""
         for tier in (self.h.ssd, self.h.shared) if from_shared else (self.h.ssd,):
-            tier.delete(_header_key(run_id))
-            for key in tier.list(f"{_run_dir(run_id)}/"):
+            for key in _block_keys(tier, run_id):
                 tier.delete(key)
+            tier.delete(_header_key(run_id))
             tier.delete_dir(_run_dir(run_id))
 
-
-class BlockSource(EntrySource):
-    """Query-side entry source reading a header-only run's data blocks.
-
-    Its ``key`` and ``cols`` are arrays of the run's length allocated
-    once with ``np.empty``, as a resident run's are: the memcmp keys, the
-    order fields as views of them (as in :class:`IndexRun`), and one
-    uint64 array per other field. Each touched block is read once with
-    ``read_block(run_id, i) -> bytes`` (:meth:`CacheManager.read_block`,
-    or a shared-storage read where no cache is held, as in the Spark
-    ``umzi`` reader), decoded, and copied into that block's rows; the tier
-    read charges the query for the block's bytes. A gather is then the
-    same position index as over a resident run. Pages no block is copied
-    into are never written, so the OS need not back them: a query's
-    memory grows with the blocks it touches, not with the run. The arrays
-    live only as long as this source (one query), matching §7: "after the
-    query is finished, the cached data blocks are released".
-    """
-
-    def __init__(self, read_block, run: IndexRun):
-        spec, n = run.spec, run.n_entries
-        key = np.empty(n, f"S{8 * len(spec.order_fields)}")
-        cols = dict(zip(spec.order_fields, enc.key_columns(key).T))
-        super().__init__(spec, n, key, cols | {f: np.empty(n, np.uint64) for f in spec.rest_fields})
-        self.read_block = read_block
-        self.run_id = run.run_id
-
-    def search_blocks(self, needles, a, b, right):
-        # Loaded blocks sit in key order in ``key``: one search per group
-        # of ranges over the same blocks, searched on one side.
-        br = self.spec.block_rows
-        live = np.flatnonzero(a < b)
-        first, last, side = self.touch(a[live]), (b[live] - 1) // br, right[live]
-        order = np.lexsort((side, last, first))
-        live, first, last, side = live[order], first[order], last[order], side[order]
-        new = np.flatnonzero(
-            np.diff(first, prepend=-1) | np.diff(last, prepend=-1) | np.diff(side, prepend=-1)
-        )
-        out = a.copy()
-        for x, y, r, sel in zip(
-            first[new].tolist(), last[new].tolist(), side[new].tolist(), np.split(live, new[1:])
-        ):
-            lo, hi = x * br, min((y + 1) * br, self.n_entries)
-            out[sel] = np.searchsorted(self.key[lo:hi], needles[sel], "right" if r else "left") + lo
-        return np.clip(out, a, b)
-
-    def _load(self, blocks: np.ndarray) -> None:
-        br = self.spec.block_rows
-        for bi in blocks.tolist():
-            lo = bi * br
-            rows = min(br, self.n_entries - lo)
-            key, rest = IndexRun.decode_block(
-                self.spec, self.read_block(self.run_id, bi), rows
-            )
-            self.key[lo : lo + rows] = key
-            for f, c in zip(self.spec.rest_fields, rest):
-                self.cols[f][lo : lo + rows] = c

@@ -1,8 +1,11 @@
-"""Synthetic OLAP data at a configurable scale factor.
+"""Synthetic data, deterministic in ``seed`` so an oracle sees identical
+input.
 
-SF=1.0 is roughly TPC-H SF1 (~1 GB across tables). Tests use SF<=0.01;
-benchmarks use SF~=0.1. Generators are deterministic in ``seed`` so the
-DuckDB oracle sees identical input.
+* ``lineitem``: a TPC-H-lite table at a scale factor (SF=1.0 is TPC-H
+  SF1's 6M rows); the TPC-H integration test reads it at SF=0.01;
+* the paper's §8 key generators: ``ingest_keys`` and ``query_keys``
+  (§8.3) feed the Figs. 8–11 harnesses, and ``iot_update_cycle`` (§8.4's
+  update model) the end-to-end harnesses and the benchmark.
 """
 import numpy as np
 import pandas as pd
@@ -10,7 +13,6 @@ from pyspark.sql import DataFrame, SparkSession
 
 _N_LINEITEM_PER_SF = 6_000_000
 _N_ORDERS_PER_SF = 1_500_000
-_N_CUSTOMER_PER_SF = 150_000
 _N_PART_PER_SF = 200_000
 
 
@@ -41,90 +43,10 @@ def lineitem(spark: SparkSession, *, sf: float = 0.01, seed: int = 0) -> DataFra
     return spark.createDataFrame(pdf)
 
 
-def orders(spark: SparkSession, *, sf: float = 0.01, seed: int = 1) -> DataFrame:
-    n = max(1, int(_N_ORDERS_PER_SF * sf))
-    n_cust = max(1, int(_N_CUSTOMER_PER_SF * sf))
-    g = _rng(seed)
-    pdf = pd.DataFrame(
-        {
-            "o_orderkey": np.arange(1, n + 1),
-            "o_custkey": g.integers(1, n_cust + 1, n),
-            "o_orderstatus": g.choice(list("OFP"), n),
-            "o_totalprice": (g.random(n) * 500000 + 1000).round(2),
-            "o_orderdate": pd.to_datetime("1992-01-01")
-            + pd.to_timedelta(g.integers(0, 2406, n), unit="D"),
-            "o_orderpriority": g.choice(
-                ["1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT", "5-LOW"], n
-            ),
-        }
-    )
-    return spark.createDataFrame(pdf)
-
-
-def part(spark: SparkSession, *, sf: float = 0.01, seed: int = 5) -> DataFrame:
-    n = max(1, int(_N_PART_PER_SF * sf))
-    g = _rng(seed)
-    pdf = pd.DataFrame(
-        {
-            "p_partkey": np.arange(1, n + 1),
-            "p_type": g.choice(
-                ["STANDARD", "SMALL", "MEDIUM", "LARGE", "ECONOMY", "PROMO"], n
-            ),
-            "p_brand": g.choice([f"Brand#{i}{j}" for i in range(1, 6) for j in range(1, 6)], n),
-            "p_size": g.integers(1, 51, n),
-            "p_retailprice": (900 + (np.arange(1, n + 1) % 1000) / 10.0).round(2),
-        }
-    )
-    return spark.createDataFrame(pdf)
-
-
-def customer(spark: SparkSession, *, sf: float = 0.01, seed: int = 2) -> DataFrame:
-    n = max(1, int(_N_CUSTOMER_PER_SF * sf))
-    g = _rng(seed)
-    pdf = pd.DataFrame(
-        {
-            "c_custkey": np.arange(1, n + 1),
-            "c_nationkey": g.integers(0, 25, n),
-            "c_acctbal": (g.random(n) * 10000 - 1000).round(2),
-            "c_mktsegment": g.choice(
-                ["BUILDING", "AUTOMOBILE", "MACHINERY", "HOUSEHOLD", "FURNITURE"], n
-            ),
-        }
-    )
-    return spark.createDataFrame(pdf)
-
-
-def zipf_keys(spark: SparkSession, *, n: int, n_keys: int, alpha: float = 1.1, seed: int = 3) -> DataFrame:
-    """Skewed key column — for join-skew / cardinality-estimation papers."""
-    g = _rng(seed)
-    ranks = np.arange(1, n_keys + 1)
-    weights = 1.0 / ranks**alpha
-    weights /= weights.sum()
-    keys = g.choice(ranks, size=n, p=weights)
-    return spark.createDataFrame(pd.DataFrame({"k": keys, "v": g.random(n)}))
-
-
-def uniform_keys(spark: SparkSession, *, n: int, n_keys: int, seed: int = 4) -> DataFrame:
-    g = _rng(seed)
-    return spark.createDataFrame(
-        pd.DataFrame({"k": g.integers(1, n_keys + 1, n), "v": g.random(n)})
-    )
-
-
 # ---------------------------------------------------------------------------
 # Umzi (EDBT 2019) §8 workloads — synthetic key generator substitutions
 # (DESIGN.md §2). All columns are 8-byte longs as in the paper.
 # ---------------------------------------------------------------------------
-
-N_DEVICES = 1000  # IoT fleet size for (device, msg) keys
-
-
-def key_to_device_msg(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Map a flat key id to the IoT (deviceID, message number) pair used
-    by index definition I1 (device = equality col, msg = sort col)."""
-    keys = np.asarray(keys, dtype=np.int64)
-    return keys % N_DEVICES, keys // N_DEVICES
-
 
 def ingest_keys(n: int, *, mode: str, seed: int = 0, key_space: int | None = None) -> np.ndarray:
     """Paper §8.3: *sequential* keys simulate time-correlated ingest
@@ -194,15 +116,3 @@ def iot_update_cycle(
     g.shuffle(keys)
     return keys, next_new_key + n_new
 
-
-def iot_batch_frame(keys: np.ndarray, seed: int = 0) -> pd.DataFrame:
-    """IoT record batch for a set of flat keys: (device, msg, val)."""
-    device, msg = key_to_device_msg(keys)
-    g = _rng(seed)
-    return pd.DataFrame(
-        {
-            "device": device,
-            "msg": msg,
-            "val": g.integers(0, 1 << 40, len(keys), dtype=np.int64),
-        }
-    )

@@ -10,9 +10,9 @@ import pytest
 from repro.core import query as q
 from repro.core.index import UmziConfig, UmziIndex
 from repro.core.recovery import list_headers, read_block
-from repro.core.run import GROOMED, IndexRun, IndexSpec
+from repro.core.run import GROOMED, BlockSource, IndexRun, IndexSpec
 from repro.storage import CacheManager, StorageHierarchy
-from repro.storage.cache import BlockSource, _block_key, _header_key
+from repro.storage.cache import _block_key, _header_key
 
 SPEC = IndexSpec(eq_cols=("k",), sort_cols=("s",), hash_bits=4, block_rows=8)
 
@@ -158,10 +158,11 @@ def test_read_shared_run_roundtrip(cm):
     run = mkrun()
     cm.write_run(run, to_ssd=False)
     hdr = list_headers(cm.h.shared)[0]
-    key, cols = IndexRun.read_entries([IndexRun.from_header(hdr)], partial(read_block, cm.h.shared))
-    assert (key == run.key).all()
-    for f in SPEC.rest_fields:
-        assert (cols[f] == run.cols[f]).all()
+    src = IndexRun.from_header(hdr).source(partial(read_block, cm.h.shared))
+    src.load_all()
+    assert (src.key == run.key).all()
+    for f in SPEC.fields:
+        assert (src.cols[f] == run.cols[f]).all()
 
 
 @pytest.mark.parametrize("a,b", [(0, 5), (3, 27), (7, 8), (0, 50), (49, 50)])

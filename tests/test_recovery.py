@@ -1,4 +1,6 @@
 """Recovery — paper §5.5 and the non-persisted-level rules of §6.1."""
+import json
+import os
 from functools import partial
 
 import numpy as np
@@ -8,9 +10,9 @@ import pytest
 from repro.core import query as q
 from repro.core.index import UmziConfig, UmziIndex
 from repro.core.recovery import list_headers, read_block, recover
-from repro.core.run import GROOMED, POSTGROOMED, IndexRun, IndexSpec
+from repro.core.run import GROOMED, POSTGROOMED, BlockSource, IndexRun, IndexSpec
 from repro.storage import CacheManager, StorageHierarchy
-from repro.storage.cache import BlockSource, _block_key
+from repro.storage.cache import _block_key, _header_key
 
 SPEC = IndexSpec(eq_cols=("k",), sort_cols=("s",), hash_bits=4, block_rows=32)
 CFG = UmziConfig(K=2, T=2, groomed_max_level=3, pg_min_level=4, pg_max_level=6)
@@ -291,3 +293,104 @@ def test_recover_reads_only_headers(tmp_path):
         (k, s, t) for (k, s), t in latest.items()
     ]
     assert hier.stats.snapshot()["reads"]["shared"] > len(headers) + 1
+
+
+class _Crash(Exception):
+    pass
+
+
+def test_gc_cut_off_after_its_first_delete_leaves_no_file_after_recovery(tmp_path, monkeypatch):
+    """A merge's GC cut off after its first file delete, then a node
+    crash: recovery deletes every file the GC left of its runs on both
+    tiers. A GC deletes a run's data blocks before its header, so the cut
+    leaves an incomplete run, which recovery drops; a header deleted first
+    would leave blocks that no header lists."""
+    hier = StorageHierarchy(str(tmp_path))
+    ix = UmziIndex(SPEC, CFG, CacheManager(hier))
+    ix.apply_cache_level(-1)  # level-0 runs go to shared storage only
+    dfs = [entries(gb) for gb in range(2)]
+    for gb, df in enumerate(dfs):
+        ix.add_groomed_run(groomed_run(df, gb))
+    gcd = [h.run.run_id for h in ix.groomed.snapshot()]
+    remove = os.remove
+
+    def remove_then_crash(path):
+        remove(path)
+        raise _Crash(path)
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "remove", remove_then_crash)
+        with pytest.raises(_Crash):
+            ix.maintain()  # K=2: the two runs merge, then their GC starts
+    hier.crash_node()
+    ix2 = recover(SPEC, CFG, CacheManager(hier))
+    for run_id in gcd:
+        for tier in (hier.ssd, hier.shared):
+            assert tier.list(f"runs/{run_id}/") == [], (tier.name, run_id)
+    assert [h.run.run_id for h in ix2.query_snapshot().runs] == [
+        r for r in CacheManager(hier).known_runs() if r not in gcd
+    ]
+    assert_queries_match(ix2, pd.concat(dfs, ignore_index=True))
+
+
+def test_plan_starts_over_on_a_run_whose_gc_began_after_the_listing(tmp_path, monkeypatch):
+    """A merged run written after the plan listed the headers, then a GC
+    of one of its inputs that has deleted a data block: the input looks
+    incomplete and the merged run is not listed. The plan starts over
+    rather than leave both out, and keeps the merged run."""
+    from repro.core import recovery
+
+    hier = StorageHierarchy(str(tmp_path))
+    cm = CacheManager(hier)
+    runs = [groomed_run(entries(gb), gb) for gb in range(2)]
+    for r in runs:
+        cm.write_run(r, to_ssd=False)
+    merged = IndexRun.merge_runs(runs, level=1)
+    real, calls = recovery.list_headers, []
+
+    def then_merge_and_gc(tier):
+        out = real(tier)
+        calls.append(len(out))
+        if len(calls) == 1:
+            cm.write_run(merged, to_ssd=False)
+            hier.shared.delete(_block_key(runs[0].run_id, 0))  # the GC's first step
+        return out
+
+    monkeypatch.setattr(recovery, "list_headers", then_merge_and_gc)
+    plan = recovery.plan_runs(hier.shared)
+    assert calls == [2, 3]
+    assert [h["run_id"] for h in plan.keep[GROOMED]] == [merged.run_id]
+    assert {h["run_id"] for h in plan.drop} == {r.run_id for r in runs}
+
+
+def test_plan_starts_over_on_a_run_it_found_incomplete_that_completed(tmp_path, monkeypatch):
+    """A merged run still being written when the plan checks it, then
+    finished, and a GC of one of its inputs that has deleted a data block
+    before the plan checks that input: both look incomplete. The plan
+    starts over rather than leave both out, and keeps the merged run."""
+    from repro.core import recovery
+
+    hier = StorageHierarchy(str(tmp_path))
+    cm = CacheManager(hier)
+    runs = [groomed_run(entries(gb), gb) for gb in range(2)]
+    for r in runs:
+        cm.write_run(r, to_ssd=False)
+    merged = IndexRun.merge_runs(runs, level=1)
+    # The listing checks runs in run-ID order: gbids [0, 0], [0, 1], [1, 1].
+    hdr = _header_key(merged.run_id)
+    hier.shared.put(hdr, json.dumps(merged.header_json()).encode())
+    real, checked = recovery._complete, []
+
+    def then_finish_and_gc(tier, header):
+        out = real(tier, header)
+        checked.append((header["run_id"], out))
+        if header["run_id"] == merged.run_id and not out:
+            for i in range(merged.n_blocks):
+                hier.shared.put(_block_key(merged.run_id, i), merged.block_bytes(i))
+            hier.shared.delete(_block_key(runs[1].run_id, 0))  # the GC's first step
+        return out
+
+    monkeypatch.setattr(recovery, "_complete", then_finish_and_gc)
+    plan = recovery.plan_runs(hier.shared)
+    assert checked[:3] == [(runs[0].run_id, True), (merged.run_id, False), (runs[1].run_id, False)]
+    assert [h["run_id"] for h in plan.keep[GROOMED]] == [merged.run_id]

@@ -170,10 +170,11 @@ def test_header_roundtrip(spec):
     assert r2.zone == run.zone and r2.level == run.level
     assert (r2.offset_array == run.offset_array).all()
     assert r2.synopsis == run.synopsis
-    key, cols = IndexRun.read_entries([r2], lambda _run_id, i: blocks[i])
-    assert (key == run.key).all()
-    for f in spec.rest_fields:
-        assert (cols[f] == run.cols[f]).all()
+    src = r2.source(lambda _run_id, i: blocks[i])
+    src.load_all()
+    assert (src.key == run.key).all()
+    for f in spec.fields:
+        assert (src.cols[f] == run.cols[f]).all()
 
 
 def test_merge_runs_preserves_all_versions():

@@ -6,7 +6,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.run import GROOMED, IndexRun, IndexSpec, MemorySource
+from repro.core.run import GROOMED, BlockSource, IndexRun, IndexSpec, MemorySource
 
 
 def paper_fig2_run(block_rows=4):
@@ -189,7 +189,6 @@ def test_block_source_equals_memory_source(block_rows, tmp_path):
     from repro.core import query as q
     from repro.core.index import UmziIndex
     from repro.storage import CacheManager, StorageHierarchy
-    from repro.storage.cache import BlockSource
 
     spec, run = paper_fig2_run(block_rows=block_rows)
     cm = CacheManager(StorageHierarchy(str(tmp_path)))
@@ -254,7 +253,6 @@ def test_search_sorted_matches_linear_scan(seed, tmp_path):
     from repro.core import encoding as enc
     from repro.core.run import search_sorted
     from repro.storage import CacheManager, StorageHierarchy
-    from repro.storage.cache import BlockSource
 
     g = np.random.default_rng(seed)
     n = 300
@@ -309,7 +307,6 @@ def test_run_key_is_the_order_columns_and_every_form_answers_alike(tmp_path):
     from repro.core.index import UmziIndex
     from repro.core.recovery import read_block
     from repro.storage import CacheManager, StorageHierarchy
-    from repro.storage.cache import BlockSource
 
     g = np.random.default_rng(7)
     n = 2000
@@ -333,6 +330,8 @@ def test_run_key_is_the_order_columns_and_every_form_answers_alike(tmp_path):
     on_ssd.add_groomed_run(run)
     assert isinstance(on_ssd.source_for(run), BlockSource)
     assert not run.resident  # persisted: the run keeps only its header
+    with pytest.raises(ValueError, match="header-only"):
+        run.source()  # read without its cache
     shared = IndexRun.from_header(run.header_json())
     indexes = [UmziIndex(spec), on_ssd]
     indexes[0].add_groomed_run(built)

@@ -13,25 +13,6 @@ class TestTpchLite:
         assert len(a) == 6000
         assert (a["l_orderkey"] == b["l_orderkey"]).all()
 
-    def test_orders_keys_dense(self, spark):
-        o = sd.orders(spark, sf=0.001).toPandas()
-        assert o["o_orderkey"].tolist() == list(range(1, 1501))
-
-    def test_customer_and_part(self, spark):
-        c = sd.customer(spark, sf=0.001).toPandas()
-        p = sd.part(spark, sf=0.001).toPandas()
-        assert len(c) == 150 and len(p) == 200
-        assert c["c_nationkey"].between(0, 24).all()
-
-    def test_zipf_skew(self, spark):
-        z = sd.zipf_keys(spark, n=20000, n_keys=1000, alpha=1.2).toPandas()
-        counts = z["k"].value_counts()
-        assert counts.iloc[0] > 5 * counts.median()
-
-    def test_uniform_keys_range(self, spark):
-        u = sd.uniform_keys(spark, n=1000, n_keys=50).toPandas()
-        assert u["k"].between(1, 50).all()
-
 
 class TestIngestKeys:
     def test_sequential(self):
@@ -109,15 +90,3 @@ class TestIotUpdateModel:
         b, _ = sd.iot_update_cycle(3, 100, p=0.5, next_new_key=300, seed=7)
         assert (a == b).all()
 
-
-class TestIotFrames:
-    def test_key_to_device_msg_roundtrip(self):
-        keys = np.asarray([0, 1, sd.N_DEVICES, sd.N_DEVICES + 5], np.int64)
-        dev, msg = sd.key_to_device_msg(keys)
-        assert dev.tolist() == [0, 1, 0, 5]
-        assert msg.tolist() == [0, 0, 1, 1]
-
-    def test_iot_batch_frame_columns(self):
-        f = sd.iot_batch_frame(np.arange(10, dtype=np.int64))
-        assert list(f.columns) == ["device", "msg", "val"]
-        assert len(f) == 10

@@ -153,7 +153,8 @@ class TestGroomer:
         # The groomer's run is the run built over the read-back block. It
         # is persisted and header-only; its entries are on shared storage.
         run = ix.groomed.snapshot()[0].run
-        key, cols = IndexRun.read_entries([run], partial(read_block, hier.shared))
+        src = run.source(partial(read_block, hier.shared))
+        src.load_all()
         spec = ix.spec
         ref = IndexRun.build(
             spec, zone=GROOMED, level=0, gbid_lo=gbid, gbid_hi=gbid,
@@ -165,9 +166,9 @@ class TestGroomer:
             rid_off=blk["rid_off"].to_numpy(),
             includes={c: blk[c].to_numpy() for c in spec.include_cols},
         )
-        np.testing.assert_array_equal(key, ref.key)
-        for f in spec.rest_fields:
-            np.testing.assert_array_equal(cols[f], ref.cols[f])
+        np.testing.assert_array_equal(src.key, ref.key)
+        for f in spec.fields:
+            np.testing.assert_array_equal(src.cols[f], ref.cols[f])
 
     def test_groomed_data_queryable_via_index(self, stack):
         _, ix, shard, groomer, *_ = stack
